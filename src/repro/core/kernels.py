@@ -8,9 +8,9 @@ gathers, the Dirichlet smoothing, the Eq. 2-4 log/combine and the partial
 top-k selection — into single loops over the arrays the matcher already
 stacks, so a scan-batch query touches each user row once instead of once
 per pipeline stage.  The index path reuses Algorithm 1's probe and bound
-machinery (tree location, root upper bounds, the ``1e-12`` tie-tolerant
-pruning rule) and replaces the per-leaf Python descent with one fused
-scoring pass per admitted tree.
+machinery (tree location, root upper bounds read off the flat forest, the
+``1e-12`` tie-tolerant pruning rule) and replaces the in-block descent
+with one fused scoring pass per admitted tree.
 
 **Exactness discipline.**  The kernels replicate the matcher's arithmetic
 operation for operation (same smoothing, same floors, same accumulation
@@ -402,6 +402,8 @@ class NativeEngine:
         self.scorer = matcher.scorer
         self._lam = float(self.scorer.config.lambda_s)
         self._mu = float(self.scorer.config.dirichlet_mu)
+        self._rows_cache: dict = {}  # block id -> (matcher rows, user ids)
+        self._rows_version = -1
 
     # -- shared plumbing ------------------------------------------------
     def _query_arrays(self, item):
@@ -474,13 +476,13 @@ class NativeEngine:
     # -- CPPse-index path (Algorithm 1, tree-fused) ---------------------
     def knn(self, item, k: int) -> list[tuple[int, float]]:
         """Native ``index.knn``: probe + bound as Algorithm 1, with one
-        fused scoring pass per admitted tree instead of the per-leaf
+        fused scoring pass per admitted tree instead of the in-block
         descent."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         if k == 0:
             return []
-        return self._knn_search(item, k, None)
+        return self._knn_search(item, k)
 
     def knn_batch(self, items: Sequence, k: int) -> list[list[tuple[int, float]]]:
         """Native ``index.knn_batch``: same pseudo-query dedup as the
@@ -497,32 +499,36 @@ class NativeEngine:
             weighted = self.scorer.expanded_query(item)
             query_key = (item.category, item.producer, tuple(weighted))
             groups.setdefault(query_key, []).append(position)
-        lookup_cache: dict = {}
-        for query_key in sorted(groups, key=lambda key: key[:2]):
-            positions = groups[query_key]
-            ranked = self._knn_search(items[positions[0]], k, lookup_cache)
+        for positions in groups.values():
+            ranked = self._knn_search(items[positions[0]], k)
             for position in positions:
                 results[position] = list(ranked)
         return results
 
-    def _tree_rows(self, tree, row_of):
-        """Matcher rows + user ids of one tree's member profiles."""
-        uids = sorted(entry.user_id for entry in tree.all_entries())
-        rows = np.fromiter((row_of[u] for u in uids), dtype=np.int64, count=len(uids))
-        return rows, np.asarray(uids, dtype=np.int64)
-
-    def _knn_search(self, item, k: int, lookup_cache) -> list[tuple[int, float]]:
-        from repro.index.cppse import _TIE_EPS
-        from repro.index.signature import QuerySignature
-
+    def _block_rows(self, forest):
+        """Matcher rows + user ids of one block's members, cached until the
+        index's next maintenance flush moves them."""
         index = self.index
+        if self._rows_version != index.version:
+            self._rows_cache, self._rows_version = {}, index.version
+        cached = self._rows_cache.get(forest.block_id)
+        if cached is None:
+            uids = np.sort(forest.member_ids())
+            row_of = self.matcher._row_of
+            rows = np.fromiter((row_of[u] for u in uids.tolist()), dtype=np.int64, count=uids.size)
+            cached = self._rows_cache[forest.block_id] = (rows, uids)
+        return cached
+
+    def _knn_search(self, item, k: int) -> list[tuple[int, float]]:
+        from repro.index.cppse import _TIE_EPS
+        from repro.index.signature import QueryBatch, QuerySignature
+
         lam = self._lam
         weighted = self.scorer.expanded_query(item)
-        trees = index._locate_trees_cached(item, lookup_cache)
+        trees = self.index.locate_trees(item)
         if not trees:
             return []
         user_ids, arrays = self._state()
-        row_of = self.matcher._row_of
         ent_idx, ent_w, in_universe = self._query_arrays(item)
         # Probe + bound exactly as Algorithm 1: per-tree root upper bounds
         # (Def. 2) put the most promising trees first, and a tree whose
@@ -530,18 +536,18 @@ class NativeEngine:
         # tolerance is pruned whole (Lemmas 1-2: no false dismissals).
         bounded = []
         for block_id, tree in sorted(trees.items()):
-            query = QuerySignature.encode(item, weighted, tree.universe, block_id)
-            bounded.append((tree.root.relevance(query, lam), block_id, tree))
+            query = QuerySignature.encode(item, weighted, tree.forest.universe, block_id)
+            bounded.append((tree.forest.root_bound(QueryBatch.pack([query]), lam), block_id, tree))
         bounded.sort(key=lambda entry: (-entry[0], entry[1]))
-        # Running result heap: min-heap on (score, -user_id), as in
-        # CPPseIndex._knn_search; its root is the pruning bound once full.
+        # Running result heap: min-heap on (score, -user_id); its root is
+        # the pruning bound once full.
         result: list[tuple[float, int]] = []
         scratch: np.ndarray | None = None
         out_idx = np.empty(k, dtype=np.int64)
         for bound, _, tree in bounded:
             if len(result) >= k and bound < result[0][0] - _TIE_EPS:
                 break  # bounds are sorted: nothing later can qualify
-            rows, row_uids = self._tree_rows(tree, row_of)
+            rows, row_uids = self._block_rows(tree.forest)
             if rows.shape[0] == 0:
                 continue
             if scratch is None or scratch.shape[0] < rows.shape[0]:
@@ -556,14 +562,11 @@ class NativeEngine:
                     lam, min(k, rows.shape[0]), scratch, out_idx,
                 )
                 tree_scores = scratch
-                tree_sel = out_idx
             else:
-                all_scores = self.matcher.score_all(item)
-                tree_scores = all_scores[rows]
+                tree_scores = self.matcher.score_all(item)[rows]
                 count = _topk_select(tree_scores, row_uids, min(k, rows.shape[0]), out_idx)
-                tree_sel = out_idx
             for j in range(count):
-                sel = tree_sel[j]
+                sel = out_idx[j]
                 key = (float(tree_scores[sel]), -int(row_uids[sel]))
                 if len(result) < k:
                     heapq.heappush(result, key)

@@ -380,15 +380,19 @@ class SsRecRecommender:
 
     def obs_registry(self):
         """The compiled plan's telemetry (cache hit/miss counters, dedup
-        collapse counters) as a
+        collapse counters) plus the CPPse-index's pruning and maintenance
+        counters, as a
         :class:`~repro.obs.metrics.MetricsRegistry` — the same surface
         the sharded facade exposes, so the server's ``metrics`` route and
         ``python -m repro.obs summarize`` work against either."""
-        if self._compiled is not None:
-            return self._compiled.obs_registry()
         from repro.obs.metrics import MetricsRegistry  # local: keeps core light
 
-        return MetricsRegistry()
+        registry = MetricsRegistry()
+        if self._compiled is not None:
+            registry.merge(self._compiled.obs_registry())
+        if self.index is not None:
+            registry.merge(self.index.obs_registry())
+        return registry
 
     def recommend(self, item: SocialItem, k: int | None = None) -> list[tuple[int, float]]:
         """Top-``k`` ``(user_id, score)`` for an incoming item (Eq. 3 order).

@@ -10,9 +10,10 @@ Components:
 - :mod:`repro.index.signature` — impact encoding of user profiles,
   frequency encoding of queries (Example 1), block universes with the
   paper's 20% reserved growth zones.
-- :mod:`repro.index.sigtree` — the extended signature tree with LEntry /
-  IEntry nodes; internal entries aggregate children by component-wise max,
-  which makes their relevance an upper bound (Def. 2, Lemmas 1-2).
+- :mod:`repro.index.sigtree` — the extended signature trees of a block as
+  one flat struct-of-arrays forest; internal (IEntry) rows aggregate their
+  children by component-wise max, which makes their relevance an upper
+  bound (Def. 2, Lemmas 1-2).
 - :mod:`repro.index.cppse` — :class:`CPPseIndex`: build, the Algorithm 1
   branch-and-bound KNN, and the Algorithm 2 dynamic maintenance.
 - :mod:`repro.index.minhash` — MinHash signatures and banded LSH over
@@ -22,8 +23,8 @@ Components:
 
 from repro.index.hashing import ChainedHashTable, pair_key, shift_add_xor_hash
 from repro.index.blocks import UserBlock, one_pass_clustering, block_statistics
-from repro.index.signature import BlockUniverse, QuerySignature, UserVector
-from repro.index.sigtree import SignatureTree, LeafEntry, InternalNode
+from repro.index.signature import BlockUniverse, QueryBatch, QuerySignature, UserVector
+from repro.index.sigtree import BlockForest, SignatureTree
 from repro.index.cppse import CPPseIndex
 from repro.index.minhash import LSHIndex, MinHasher, jaccard
 
@@ -35,11 +36,11 @@ __all__ = [
     "one_pass_clustering",
     "block_statistics",
     "BlockUniverse",
+    "QueryBatch",
     "QuerySignature",
     "UserVector",
+    "BlockForest",
     "SignatureTree",
-    "LeafEntry",
-    "InternalNode",
     "CPPseIndex",
     "LSHIndex",
     "MinHasher",

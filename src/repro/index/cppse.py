@@ -2,17 +2,32 @@
 
 Structure (Fig. 4): a chained hash table maps each category-entity pair to
 the extended signature trees (one per user block holding that pair); each
-tree stores the block's user profiles under one category.  KNN queries run
-best-first over the located trees, pruning subtrees whose upper-bound
-relevance (Def. 2) cannot beat the current k-th best — Lemmas 1-2 guarantee
-no false dismissals among the probed trees.
+tree stores the block's user profiles under one category, all trees of a
+block sharing one flat :class:`~repro.index.sigtree.BlockForest`.  KNN
+queries run best-first over the located trees, pruning subtrees whose
+upper-bound relevance (Def. 2) cannot beat the current k-th best —
+Lemmas 1-2 guarantee no false dismissals among the probed trees.
+
+Always-on counters (:meth:`CPPseIndex.obs_registry`), each next to the
+paper quantity it watches:
+
+- ``index.queries`` / ``index.blocks_probed`` — distinct pseudo-queries
+  searched and the trees step 1 of Algorithm 1 located for them (Fig. 4's
+  hash routing: how much of the blocking a query touches);
+- ``index.bounds_evaluated`` — IEntry upper bounds computed (Def. 2), the
+  branch-and-bound's overhead;
+- ``index.leaves_scored`` and ``index.reachable_users`` — LEntries scored
+  exactly vs users in the probed trees; their ratio, the gauge
+  ``index.scored_share``, is Fig. 10's pruning power (1.0 = a scan);
+- ``index.flushes`` / ``index.users_refreshed`` / ``index.flush_us`` —
+  Algorithm-2 runs, profiles they absorbed and the time they took
+  (Fig. 11's update cost).
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from collections.abc import Iterable, Sequence
+import time
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -24,16 +39,34 @@ from repro.index.blocks import UserBlock, assign_to_block, block_statistics, one
 from repro.index.hashing import ChainedHashTable
 from repro.index.signature import (
     BlockUniverse,
+    QueryBatch,
     QuerySignature,
     UniverseOverflow,
     UserVector,
+    with_slack,
 )
-from repro.index.sigtree import LeafEntry, SignatureTree
+from repro.index.sigtree import BlockForest, SignatureTree
 
 #: Tie tolerance when comparing against the pruning bound; entries whose
 #: upper bound equals the current k-th best (within float noise) are still
 #: explored so tied users resolve deterministically by id.
 _TIE_EPS = 1e-12
+#: Open nodes a block search expands per query and round, beyond the
+#: ``k / fanout`` leaf runs any answer needs.
+_ROUND_WIDTH = 16
+#: Ceiling on the memoised ``(category, entity) -> blocks`` routes.
+_ROUTE_MEMO_CAP = 1 << 16
+#: Members encoded per write while a block is built (bounds the staging copy).
+_BUILD_CHUNK = 256
+_COUNTERS = (
+    "queries", "blocks_probed", "bounds_evaluated", "leaves_scored",
+    "reachable_users", "flushes", "users_refreshed", "flush_us",
+)
+
+
+def _rank_in_group(sorted_groups: np.ndarray) -> np.ndarray:
+    """Position of each element within its run of equal group ids."""
+    return np.arange(sorted_groups.size) - np.searchsorted(sorted_groups, sorted_groups)
 
 
 class CPPseIndex:
@@ -56,11 +89,15 @@ class CPPseIndex:
         self.n_categories = int(n_categories)
         self.config = config or SsRecConfig()
         self.blocks: list[UserBlock] = []
-        self.universes: dict[int, BlockUniverse] = {}
+        self.forests: list[BlockForest] = []  # forests[b] belongs to blocks[b]
         self.trees: dict[tuple[int, int], SignatureTree] = {}
         self.hash_table = ChainedHashTable(n_buckets=self.config.hash_buckets)
         self.block_of_user: dict[int, int] = {}
-        self.vector_of_user: dict[int, UserVector] = {}
+        #: Bumped by every :meth:`maintain`; cached member views key on it.
+        self.version = 0
+        self.counters = dict.fromkeys(_COUNTERS, 0)
+        self._routes: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._routes_version = self.hash_table.version
 
     # ------------------------------------------------------------------
     # Construction
@@ -73,7 +110,7 @@ class CPPseIndex:
         n_categories: int,
         config: SsRecConfig | None = None,
     ) -> "CPPseIndex":
-        """Cluster users into blocks and build every (block, category) tree."""
+        """Cluster users into blocks and build every block's forest."""
         index = cls(profiles, scorer, n_categories, config)
         ordered = [profiles.get(uid) for uid in profiles.user_ids()]
         index.blocks = one_pass_clustering(
@@ -120,71 +157,82 @@ class CPPseIndex:
         return index
 
     def _build_block(self, block: UserBlock) -> None:
-        """(Re)build one block: universe, user vectors, trees, hash entries."""
-        members = [self.profiles.get(uid) for uid in block.user_ids]
+        """(Re)build one block: universe, forest rows, trees, hash entries."""
         universe = BlockUniverse(
             producer_ids=block.producer_ids,
             entity_ids=block.entity_ids,
             slack=self.config.signature_slack,
         )
-        self.universes[block.block_id] = universe
-        long_dists: dict[int, np.ndarray] = {}
-        short_dists: dict[int, np.ndarray] = {}
-        for profile in members:
-            self.block_of_user[profile.user_id] = block.block_id
-            self.vector_of_user[profile.user_id] = UserVector.build(
-                profile, universe, self.scorer
-            )
-            long_dists[profile.user_id] = self.interest.long_term_distribution(profile)
-            short_dists[profile.user_id] = self.interest.short_term_distribution(profile)
-        categories = sorted(block.categories) or [0]
-        for category in categories:
-            entries = [
-                LeafEntry(
-                    user_id=p.user_id,
-                    vector=self.vector_of_user[p.user_id],
-                    p_long=float(long_dists[p.user_id][category]),
-                    p_short=float(short_dists[p.user_id][category]),
-                    profile=p,
-                )
-                for p in members
-            ]
-            tree = SignatureTree(
-                block.block_id, category, universe, fanout=self.config.tree_fanout
-            )
-            tree.bulk_build(entries)
-            self.trees[(block.block_id, category)] = tree
-            for entity_id in universe.entity_ids():
-                self.hash_table.insert(category, entity_id, block.block_id, tree)
+        forest = BlockForest(
+            block.block_id,
+            universe,
+            self.n_categories,
+            fanout=self.config.tree_fanout,
+            capacity=with_slack(len(block.user_ids), self.config.signature_slack),
+        )
+        members = sorted(block.user_ids)
+        self.block_of_user.update(dict.fromkeys(members, block.block_id))
+        for lo in range(0, len(members), _BUILD_CHUNK):
+            forest.put([
+                self._encode(self.profiles.get(user_id), universe)
+                for user_id in members[lo : lo + _BUILD_CHUNK]
+            ])
+        forest.refresh()
+        if block.block_id < len(self.forests):
+            self.forests[block.block_id] = forest  # open trees now view this one
+        else:
+            self.forests.append(forest)
+        for category in sorted(block.categories):
+            if (block.block_id, category) not in self.trees:
+                self._open_tree(block, category)
 
-    def _create_tree(self, block: UserBlock, category: int) -> SignatureTree:
-        """Lazily create a (block, category) tree covering current members."""
-        universe = self.universes[block.block_id]
-        entries = []
-        for uid in block.user_ids:
-            profile = self.profiles.get(uid)
-            if profile is None:
-                continue
-            entries.append(
-                LeafEntry(
-                    user_id=uid,
-                    vector=self.vector_of_user[uid],
-                    p_long=float(self.interest.long_term_distribution(profile)[category]),
-                    p_short=float(self.interest.short_term_distribution(profile)[category]),
-                    profile=profile,
-                )
-            )
-        tree = SignatureTree(block.block_id, category, universe, fanout=self.config.tree_fanout)
-        tree.bulk_build(entries)
-        self.trees[(block.block_id, category)] = tree
+    def _encode(self, profile: UserProfile, universe: BlockUniverse) -> tuple:
+        """``profile`` as a forest member: impact lists plus ``p_l``/``p_s``."""
+        return (
+            UserVector.build(profile, universe, self.scorer),
+            self.interest.long_term_distribution(profile),
+            self.interest.short_term_distribution(profile),
+        )
+
+    def _open_tree(self, block: UserBlock, category: int) -> None:
+        """Open the block's tree for ``category``: every member's ``p_l(c)``
+        / ``p_s(c)`` already sits in the forest, so a tree is its handle
+        plus the hash entries that route the category to the block."""
+        self.trees[(block.block_id, int(category))] = SignatureTree(
+            self.forests, block.block_id, int(category)
+        )
         block.categories.add(int(category))
-        for entity_id in universe.entity_ids():
-            self.hash_table.insert(category, entity_id, block.block_id, tree)
-        return tree
+        self._route(block, [category], self.forests[block.block_id].universe.entity_ids())
+
+    def _route(self, block: UserBlock, categories, entity_ids) -> None:
+        """Point the hash table's ``(category, entity)`` pairs at the
+        block's open trees."""
+        for category in categories:
+            tree = self.trees[(block.block_id, category)]
+            for entity_id in entity_ids:
+                self.hash_table.insert(category, entity_id, block.block_id, tree)
 
     # ------------------------------------------------------------------
     # KNN query (Algorithm 1)
     # ------------------------------------------------------------------
+    def _locate_blocks(self, category: int, weighted: Sequence[tuple[int, float]]) -> list[int]:
+        """Blocks whose ``category`` tree holds any query entity: one
+        hash-table probe per ``(category, entity)``, memoised until the
+        table next changes."""
+        routes = self._routes
+        if self._routes_version != self.hash_table.version or len(routes) > _ROUTE_MEMO_CAP:
+            routes.clear()
+            self._routes_version = self.hash_table.version
+        blocks: set[int] = set()
+        for entity_id, _ in weighted:
+            found = routes.get((category, entity_id))
+            if found is None:
+                found = routes[(category, entity_id)] = tuple(
+                    self.hash_table.lookup(category, entity_id)
+                )
+            blocks.update(found)
+        return sorted(blocks)
+
     def locate_trees(self, item: SocialItem) -> dict[int, SignatureTree]:
         """Step 1 of Algorithm 1: hash the item's category-entity pairs to
         the extended signature trees containing them.
@@ -192,34 +240,8 @@ class CPPseIndex:
         Probes with the expanded entity set ``E u E'`` so expansion recall
         carries through to tree location.
         """
-        found: dict[int, SignatureTree] = {}
-        for entity_id, _ in self.scorer.expanded_query(item):
-            for block_id, tree in self.hash_table.lookup(item.category, entity_id).items():
-                found[block_id] = tree
-        return found
-
-    def _locate_trees_cached(
-        self,
-        item: SocialItem,
-        lookup_cache: dict[tuple[int, int], dict[int, SignatureTree]] | None,
-    ) -> dict[int, SignatureTree]:
-        """:meth:`locate_trees` with an optional per-batch lookup cache.
-
-        Items of one micro-batch overwhelmingly share categories and query
-        entities, so their ``(category, entity)`` hash probes repeat; the
-        cache turns the repeats into one dictionary hit each.
-        """
-        if lookup_cache is None:
-            return self.locate_trees(item)
-        found: dict[int, SignatureTree] = {}
-        for entity_id, _ in self.scorer.expanded_query(item):
-            probe = (item.category, entity_id)
-            hit = lookup_cache.get(probe)
-            if hit is None:
-                hit = self.hash_table.lookup(item.category, entity_id)
-                lookup_cache[probe] = hit
-            found.update(hit)
-        return found
+        blocks = self._locate_blocks(item.category, self.scorer.expanded_query(item))
+        return {block_id: self.trees[(block_id, item.category)] for block_id in blocks}
 
     def knn(self, item: SocialItem, k: int) -> list[tuple[int, float]]:
         """Algorithm 1: top-``k`` users for ``item`` via best-first search.
@@ -228,27 +250,19 @@ class CPPseIndex:
         id — the same order the sequential scan produces.  ``k == 0`` is
         an empty recommendation window and yields an empty list.
         """
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        if k == 0:
-            return []
-        return self._knn_search(item, k, None, None, None)
+        return self.knn_batch([item], k)[0]
 
     def knn_batch(
         self, items: Sequence[SocialItem], k: int
     ) -> list[list[tuple[int, float]]]:
         """Batched Algorithm 1 over a micro-batch of items.
 
-        Entry ``i`` equals ``knn(items[i], k)`` on the same index state.
-        The batch amortizes three costs the per-item path pays per call:
-
-        - items are grouped by pseudo-query ``(category, producer, E u E')``
-          and duplicates answered by a single best-first search;
-        - ``(category, entity)`` hash-table probes are cached across the
-          batch (tree location, step 1 of Algorithm 1);
-        - per-block :class:`QuerySignature` encodings are cached, so items
-          sharing a query signature descend the same trees without
-          re-encoding.
+        Entry ``i`` equals ``knn(items[i], k)`` on the same index state,
+        bit for bit.  Items are grouped by pseudo-query ``(category,
+        producer, E u E')`` so duplicates share one search, and the distinct
+        queries descend each located block *together*: every round of the
+        best-first search evaluates the bounds of all their open nodes in
+        one :meth:`BlockForest.relevance` pass.
 
         Callers flush pending maintenance once before the batch (the ssRec
         facade does) rather than once per item.  An empty window, and
@@ -262,77 +276,73 @@ class CPPseIndex:
         groups: dict[tuple, list[int]] = {}
         for position, item in enumerate(items):
             weighted = self.scorer.expanded_query(item)
-            query_key = (item.category, item.producer, tuple(weighted))
-            groups.setdefault(query_key, []).append(position)
-        lookup_cache: dict[tuple[int, int], dict[int, SignatureTree]] = {}
-        encode_cache: dict[tuple, QuerySignature] = {}
-        # Category-sorted group order keeps consecutive searches on the same
-        # trees (and their cached encodings).
-        for query_key in sorted(groups, key=lambda key: key[:2]):
-            positions = groups[query_key]
-            ranked = self._knn_search(
-                items[positions[0]], k, lookup_cache, encode_cache, query_key
-            )
+            groups.setdefault((item.category, item.producer, tuple(weighted)), []).append(position)
+        by_block: dict[int, list[int]] = {}
+        for number, (category, _, weighted) in enumerate(groups):
+            for block_id in self._locate_blocks(category, weighted):
+                by_block.setdefault(block_id, []).append(number)
+        best = _TopK(len(groups), k)
+        queries = [(items[positions[0]], key[2]) for key, positions in groups.items()]
+        for block_id in sorted(by_block):
+            self._search_block(self.forests[block_id], by_block[block_id], queries, best)
+        self.counters["queries"] += len(groups)
+        for positions, ranked in zip(groups.values(), best.ranked()):
             for position in positions:
                 results[position] = list(ranked)
         return results
 
-    def _knn_search(
-        self,
-        item: SocialItem,
-        k: int,
-        lookup_cache: dict[tuple[int, int], dict[int, SignatureTree]] | None,
-        encode_cache: dict[tuple, QuerySignature] | None,
-        query_key: tuple | None,
-    ) -> list[tuple[int, float]]:
-        """One best-first search, optionally sharing per-batch caches."""
+    def _search_block(
+        self, forest: BlockForest, numbers: list[int], queries: list, best: "_TopK"
+    ) -> None:
+        """Best-first descent of one block for the queries ``numbers``.
+
+        Each round pops, per query, its ``width`` best open nodes whose
+        bound still reaches the query's running k-th best (minus
+        ``_TIE_EPS``) and evaluates all their children in one pass: leaf
+        rows are exact scores and feed the running top-k, internal rows are
+        bounds and join the frontier.
+        """
         lambda_s = self.scorer.config.lambda_s
-        weighted = self.scorer.expanded_query(item)
-        trees = self._locate_trees_cached(item, lookup_cache)
-        if not trees:
-            return []
-        counter = itertools.count()
-        # Best-first frontier: (-upper_bound, seq, node, query).
-        frontier: list = []
-        for block_id, tree in sorted(trees.items()):
-            if encode_cache is not None and query_key is not None:
-                cache_key = (block_id, query_key)
-                query = encode_cache.get(cache_key)
-                if query is None:
-                    query = QuerySignature.encode(item, weighted, tree.universe, block_id)
-                    encode_cache[cache_key] = query
-            else:
-                query = QuerySignature.encode(item, weighted, tree.universe, block_id)
-            bound = tree.root.relevance(query, lambda_s)
-            heapq.heappush(frontier, (-bound, next(counter), tree.root, query))
-        # Result heap U_k: min-heap on (score, -user_id); its root is the
-        # pruning bound LB once full.
-        result: list[tuple[float, int]] = []
-
-        def lb() -> float:
-            if len(result) < k:
-                return float("-inf")
-            return result[0][0]
-
-        while frontier:
-            neg_bound, _, node, query = heapq.heappop(frontier)
-            if -neg_bound < lb() - _TIE_EPS:
-                break  # all remaining bounds are no better
-            if node.is_leaf:
-                for entry in node.entries:
-                    score = entry.relevance(query, lambda_s)
-                    key = (score, -entry.user_id)
-                    if len(result) < k:
-                        heapq.heappush(result, key)
-                    elif key > result[0]:
-                        heapq.heapreplace(result, key)
-            else:
-                for child in node.children:
-                    bound = child.relevance(query, lambda_s)
-                    if bound >= lb() - _TIE_EPS:
-                        heapq.heappush(frontier, (-bound, next(counter), child, query))
-        ranked = sorted(result, key=lambda su: (-su[0], -su[1]))
-        return [(-neg_uid, score) for score, neg_uid in ranked]
+        batch = QueryBatch.pack([
+            QuerySignature.encode(queries[n][0], queries[n][1], forest.universe, forest.block_id)
+            for n in numbers
+        ])
+        number_of = np.asarray(numbers, dtype=np.intp)
+        fanout, leaf_strips = forest.fanout, forest.offsets[1] // forest.fanout
+        steps = np.arange(fanout)
+        strips = np.tile(forest.start_strips, len(numbers))
+        owner = np.repeat(np.arange(len(numbers)), forest.start_strips.size)
+        open_owner = open_rows = np.empty(0, dtype=np.intp)
+        open_bound = np.empty(0)
+        width = _ROUND_WIDTH + best.k // fanout
+        counters = self.counters
+        counters["blocks_probed"] += len(numbers)
+        counters["reachable_users"] += len(numbers) * forest.n_members
+        while strips.size:
+            values = forest.relevance(strips, owner, batch, lambda_s)
+            rows = strips[:, None] * fanout + steps
+            live = forest.live[rows] > 0
+            leaf = (strips < leaf_strips)[:, None] & live
+            inner = live ^ leaf
+            owners = np.broadcast_to(owner[:, None], rows.shape)
+            n_leaf = int(np.count_nonzero(leaf))
+            counters["leaves_scored"] += n_leaf
+            if n_leaf:
+                best.offer(number_of[owners[leaf]], forest.user_ids[rows[leaf]], values[leaf])
+            if n_leaf < np.count_nonzero(live):
+                counters["bounds_evaluated"] += int(np.count_nonzero(inner))
+                open_owner = np.concatenate((open_owner, owners[inner]))
+                open_rows = np.concatenate((open_rows, rows[inner]))
+                open_bound = np.concatenate((open_bound, values[inner]))
+            if not open_rows.size:
+                break
+            reach = open_bound >= best.lower[number_of[open_owner]] - _TIE_EPS
+            open_owner, open_rows, open_bound = open_owner[reach], open_rows[reach], open_bound[reach]
+            order = np.lexsort((-open_bound, open_owner))
+            popped = _rank_in_group(open_owner[order]) < width
+            chosen, kept = order[popped], order[~popped]
+            strips, owner = forest.child_strip[open_rows[chosen]], open_owner[chosen]
+            open_owner, open_rows, open_bound = open_owner[kept], open_rows[kept], open_bound[kept]
 
     # ------------------------------------------------------------------
     # Dynamic maintenance (Algorithm 2)
@@ -340,102 +350,84 @@ class CPPseIndex:
     def maintain(self, user_ids: Sequence[int]) -> int:
         """Algorithm 2: absorb profile updates for ``user_ids``.
 
-        Handles, per the paper: changed entity frequencies (signature
-        refresh + ancestor re-aggregation), new entities (reserved-zone
-        claim + hash-table insertion, or block rebuild on overflow), new
-        categories (lazy tree creation), and new users (block assignment +
-        leaf insertion).
+        Handles, per the paper: changed entity frequencies (leaf-row
+        overwrite), new entities (reserved-zone claim + hash-table
+        insertion, or block rebuild on overflow), new categories (tree
+        opening), and new users (block assignment + reserved-row claim).
+        Ancestors are re-aggregated once per touched block, after every row
+        of the flush is written.
 
         Returns the number of profiles processed.
         """
+        started = time.perf_counter()
+        written: dict[int, list[tuple]] = {}  # block id -> members to (over)write
         processed = 0
         for user_id in user_ids:
             profile = self.profiles.get(user_id)
             if profile is None:
                 continue
+            processed += 1
             block_id = self.block_of_user.get(int(user_id))
             if block_id is None:
-                self._insert_new_user(profile)
+                block = assign_to_block(
+                    self.blocks,
+                    profile,
+                    self.n_categories,
+                    similarity_threshold=self.config.block_similarity_threshold,
+                    max_blocks=self.config.max_blocks,
+                )
+                block_id = block.block_id
+                if block_id == len(self.forests):
+                    # assign_to_block opened a brand-new block; build it whole.
+                    self._build_block(block)
+                    continue
+                self.block_of_user[profile.user_id] = block_id
+            member = self._refresh_user(profile, self.blocks[block_id])
+            if member is None:
+                written.pop(block_id, None)  # rebuilt whole from the profiles
             else:
-                self._update_existing_user(profile, block_id)
-            processed += 1
+                written.setdefault(block_id, []).append(member)
+        for block_id, members in written.items():
+            forest = self.forests[block_id]
+            try:
+                forest.refresh(forest.put(members))
+            except UniverseOverflow:  # new members outgrew the reserved rows
+                self._build_block(self.blocks[block_id])
+        self.version += 1
+        self.counters["flushes"] += 1
+        self.counters["users_refreshed"] += processed
+        self.counters["flush_us"] += int((time.perf_counter() - started) * 1e6)
         return processed
 
-    def _block_by_id(self, block_id: int) -> UserBlock:
-        return self.blocks[block_id]
-
-    def _update_existing_user(self, profile: UserProfile, block_id: int) -> None:
-        block = self._block_by_id(block_id)
-        universe = self.universes[block_id]
+    def _refresh_user(self, profile: UserProfile, block: UserBlock) -> tuple | None:
+        """Grow ``block`` for what ``profile`` newly browsed and encode it;
+        None when the block had to be rebuilt (with the profile in it)."""
+        block_id = block.block_id
+        universe = self.forests[block_id].universe
+        # New categories browsed -> open the block's tree for them.
+        for category in sorted(block.categories.union(profile.category_counts)):
+            if (block_id, category) not in self.trees:
+                self._open_tree(block, category)
         # New symbols browsed by this user claim reserved-zone slots; an
         # exhausted zone triggers a full block rebuild with fresh capacity.
         try:
-            new_entities = [
-                e for e in profile.entity_counts if universe.entity_slot(e) is None
-            ]
-            for entity_id in new_entities:
-                universe.add_entity(entity_id)
-                block.entity_ids.add(int(entity_id))
-                for category in sorted(block.categories):
-                    tree = self.trees.get((block_id, category))
-                    if tree is not None:
-                        self.hash_table.insert(category, entity_id, block_id, tree)
-            for producer_id in list(profile.producer_counts):
+            for entity_id in profile.entity_counts:
+                if universe.entity_slot(entity_id) is None:
+                    universe.add_entity(entity_id)
+                    block.entity_ids.add(int(entity_id))
+                    self._route(block, sorted(block.categories), [entity_id])
+            for producer_id in profile.producer_counts:
                 if universe.producer_slot(producer_id) is None:
                     universe.add_producer(producer_id)
                     block.producer_ids.add(int(producer_id))
+            return self._encode(profile, universe)
         except UniverseOverflow:
+            unrouted = [e for e in profile.entity_counts if universe.entity_slot(e) is None]
             block.entity_ids.update(profile.entity_counts)
             block.producer_ids.update(profile.producer_counts)
-            block.categories.update(profile.category_counts)
-            self._rebuild_block(block)
-            return
-        # New categories browsed -> lazy tree creation for the block.
-        for category in profile.category_counts:
-            if (block_id, category) not in self.trees:
-                self._create_tree(block, category)
-        vector = UserVector.build(profile, universe, self.scorer)
-        self.vector_of_user[profile.user_id] = vector
-        long_dist = self.interest.long_term_distribution(profile)
-        short_dist = self.interest.short_term_distribution(profile)
-        for category in sorted(block.categories):
-            tree = self.trees.get((block_id, category))
-            if tree is None:
-                continue
-            updated = tree.update_entry(
-                profile.user_id, vector, float(long_dist[category]), float(short_dist[category])
-            )
-            if not updated:
-                tree.insert(
-                    LeafEntry(
-                        user_id=profile.user_id,
-                        vector=vector,
-                        p_long=float(long_dist[category]),
-                        p_short=float(short_dist[category]),
-                        profile=profile,
-                    )
-                )
-
-    def _insert_new_user(self, profile: UserProfile) -> None:
-        block = assign_to_block(
-            self.blocks,
-            profile,
-            self.n_categories,
-            similarity_threshold=self.config.block_similarity_threshold,
-            max_blocks=self.config.max_blocks,
-        )
-        if block.block_id not in self.universes:
-            # assign_to_block opened a brand-new block; build it whole.
             self._build_block(block)
-            return
-        self.block_of_user[profile.user_id] = block.block_id
-        self._update_existing_user(profile, block.block_id)
-
-    def _rebuild_block(self, block: UserBlock) -> None:
-        """Drop and rebuild one block's universe, vectors and trees."""
-        for category in sorted(block.categories):
-            self.trees.pop((block.block_id, category), None)
-        self._build_block(block)
+            self._route(block, sorted(block.categories), unrouted)
+            return None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -451,10 +443,62 @@ class CPPseIndex:
         """Users retrievable for ``item`` (tests compare scan over these)."""
         users: set[int] = set()
         for tree in self.locate_trees(item).values():
-            users.update(e.user_id for e in tree.all_entries())
+            users.update(tree.forest.member_ids().tolist())
         return users
 
     def check_invariants(self) -> None:
-        """Validate every tree's structure and aggregation (tests)."""
-        for tree in self.trees.values():
-            tree.check_invariants()
+        """Validate every forest's structure and aggregation (tests)."""
+        for block, forest in zip(self.blocks, self.forests):
+            forest.check_invariants()
+            if set(forest.row_of) != set(block.user_ids):
+                raise AssertionError(f"block {block.block_id} members disagree with its forest")
+
+    def obs_registry(self, **labels):
+        """The always-on counters (module docstring) as a mergeable
+        :class:`~repro.obs.metrics.MetricsRegistry`; ``labels`` (a shard
+        id, say) keep several indexes apart in one merged view."""
+        from repro.obs.metrics import MetricsRegistry  # local: keeps index import-light
+
+        registry = MetricsRegistry()
+        for name, value in self.counters.items():
+            registry.counter(f"index.{name}", **labels).inc(value)
+        registry.gauge("index.scored_share", **labels).set(
+            self.counters["leaves_scored"] / max(self.counters["reachable_users"], 1)
+        )
+        return registry
+
+
+class _TopK:
+    """Running top-``k`` ``(score, user)`` per query of one batch, kept as
+    three parallel arrays grouped by query and ranked ``(-score, user_id)``.
+
+    ``lower[q]`` is query ``q``'s k-th best score so far (``-inf`` until it
+    holds ``k``): the pruning bound LB of Algorithm 1.
+    """
+
+    def __init__(self, n_queries: int, k: int) -> None:
+        self.k = int(k)
+        self.query = np.empty(0, dtype=np.intp)
+        self.user = np.empty(0, dtype=np.int64)
+        self.score = np.empty(0)
+        self.lower = np.full(n_queries, -np.inf)
+
+    def offer(self, query: np.ndarray, user: np.ndarray, score: np.ndarray) -> None:
+        contender = score >= self.lower[query]
+        query, user, score = query[contender], user[contender], score[contender]
+        query = np.concatenate((self.query, query))
+        user = np.concatenate((self.user, user))
+        score = np.concatenate((self.score, score))
+        order = np.lexsort((user, -score, query))
+        query, user, score = query[order], user[order], score[order]
+        rank = _rank_in_group(query)
+        keep = rank < self.k
+        self.query, self.user, self.score = query[keep], user[keep], score[keep]
+        kth = rank == self.k - 1
+        self.lower[query[kth]] = score[kth]
+
+    def ranked(self) -> list[list[tuple[int, float]]]:
+        """Per query, its ``(user_id, score)`` list, best first."""
+        pairs = list(zip(self.user.tolist(), self.score.tolist()))
+        bounds = np.searchsorted(self.query, np.arange(self.lower.size + 1)).tolist()
+        return [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]

@@ -92,6 +92,8 @@ class ChainedHashTable:
         self.right = right
         self._buckets: list[HashTriad | None] = [None] * self.n_buckets
         self._size = 0
+        #: Bumped by every mutation, so callers can memoise lookups.
+        self.version = 0
 
     def __len__(self) -> int:
         """Number of distinct pair names stored."""
@@ -100,8 +102,9 @@ class ChainedHashTable:
     def _hash(self, name: str) -> int:
         return shift_add_xor_hash(name, seed=self.seed, left=self.left, right=self.right)
 
-    def _find(self, name: str) -> HashTriad | None:
-        key = self._hash(name)
+    def _find(self, name: str, key: int | None = None) -> HashTriad | None:
+        if key is None:
+            key = self._hash(name)
         node = self._buckets[key % self.n_buckets]
         while node is not None:
             if node.key == key and node.name == name:
@@ -112,14 +115,15 @@ class ChainedHashTable:
     def insert(self, category: int, entity_id: int, block_id: int, tree: Any) -> None:
         """Point the pair's triad at ``tree`` for ``block_id`` (upsert)."""
         name = pair_key(category, entity_id)
-        triad = self._find(name)
+        key = self._hash(name)
+        triad = self._find(name, key)
         if triad is None:
-            key = self._hash(name)
             bucket = key % self.n_buckets
             triad = HashTriad(key=key, name=name, nextptr=self._buckets[bucket])
             self._buckets[bucket] = triad
             self._size += 1
         triad.sptr[int(block_id)] = tree
+        self.version += 1
 
     def lookup(self, category: int, entity_id: int) -> dict[int, Any]:
         """Block id -> tree pointers for the pair; empty dict when absent."""
@@ -131,6 +135,7 @@ class ChainedHashTable:
         triad = self._find(pair_key(category, entity_id))
         if triad is None:
             return False
+        self.version += 1
         return triad.sptr.pop(int(block_id), None) is not None
 
     def chain_lengths(self) -> list[int]:

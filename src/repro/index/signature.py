@@ -15,7 +15,8 @@ user profiles and a frequency-based encoding for queries".
 - :class:`QuerySignature` — the pseudo-query of an item against one block:
   per-universe-slot accumulated weight (frequency x expansion weight, as in
   Example 1) plus the total weight of out-of-universe query entities, which
-  scores against the floor.
+  scores against the floor.  :class:`QueryBatch` packs several of them into
+  the arrays the flat forest's vectorised passes gather by.
 """
 
 from __future__ import annotations
@@ -28,12 +29,16 @@ import numpy as np
 from repro.core.matching import MatchingScorer
 from repro.core.profiles import UserProfile
 from repro.datasets.schema import SocialItem
-from repro.hmm.utils import PROB_FLOOR
 
 
 class UniverseOverflow(Exception):
     """Raised when a block universe's reserved zone is exhausted; the owner
     rebuilds the affected trees with an enlarged universe."""
+
+
+def with_slack(n: int, slack: float) -> int:
+    """``n`` slots plus the reserved growth zone (at least one spare)."""
+    return max(1, n + int(np.ceil(n * slack)) + 1)
 
 
 class BlockUniverse:
@@ -58,11 +63,8 @@ class BlockUniverse:
         self._entities: list[int] = sorted(set(int(e) for e in entity_ids))
         self._producer_slot: dict[int, int] = {p: i for i, p in enumerate(self._producers)}
         self._entity_slot: dict[int, int] = {e: i for i, e in enumerate(self._entities)}
-        self.producer_capacity = self._with_slack(len(self._producers))
-        self.entity_capacity = self._with_slack(len(self._entities))
-
-    def _with_slack(self, n: int) -> int:
-        return max(1, n + int(np.ceil(n * self.slack)) + 1)
+        self.producer_capacity = with_slack(len(self._producers), self.slack)
+        self.entity_capacity = with_slack(len(self._entities), self.slack)
 
     @property
     def n_producers(self) -> int:
@@ -118,6 +120,20 @@ class BlockUniverse:
         return slot
 
 
+def _impact_list(
+    capacity: int, slot_of: dict[int, int], counts: dict[int, int], prior: float, total: float
+) -> np.ndarray:
+    """One Dirichlet-smoothed impact list.  A symbol the user never browsed
+    smooths to exactly the floor ``prior / total``, so only the profile's
+    own (sparse) counts are written over the floor fill."""
+    row = np.full(capacity, prior / total)
+    seen = [(slot_of[symbol], count) for symbol, count in counts.items() if symbol in slot_of]
+    if seen:
+        slots, values = zip(*seen)
+        row[list(slots)] = (np.array(values) + prior) / total
+    return row
+
+
 @dataclass
 class UserVector:
     """Impact-encoded user statistics over a block universe.
@@ -129,7 +145,6 @@ class UserVector:
         p_entity: smoothed ``p^(e|u)`` per entity slot.
         floor_producer: smoothed probability of an unseen producer.
         floor_entity: smoothed probability of an unseen entity.
-        version: profile version the vector was built from.
     """
 
     user_id: int
@@ -137,7 +152,6 @@ class UserVector:
     p_entity: np.ndarray
     floor_producer: float
     floor_entity: float
-    version: int
 
     @classmethod
     def build(
@@ -150,27 +164,20 @@ class UserVector:
         sequential scan.
         """
         mu = scorer.config.dirichlet_mu
-        floor_p = (mu / scorer.n_producers) / (profile.n_long_events + mu)
-        floor_e = (mu / scorer.n_entities) / (profile.n_entity_tokens + mu)
-        p_producer = np.full(universe.producer_capacity, floor_p)
-        for producer_id, slot in universe._producer_slot.items():
-            count = profile.producer_counts.get(producer_id, 0)
-            p_producer[slot] = (count + mu / scorer.n_producers) / (
-                profile.n_long_events + mu
-            )
-        p_entity = np.full(universe.entity_capacity, floor_e)
-        for entity_id, slot in universe._entity_slot.items():
-            count = profile.entity_counts.get(entity_id, 0)
-            p_entity[slot] = (count + mu / scorer.n_entities) / (
-                profile.n_entity_tokens + mu
-            )
+        prior_p, total_p = mu / scorer.n_producers, profile.n_long_events + mu
+        prior_e, total_e = mu / scorer.n_entities, profile.n_entity_tokens + mu
         return cls(
             user_id=profile.user_id,
-            p_producer=p_producer,
-            p_entity=p_entity,
-            floor_producer=floor_p,
-            floor_entity=floor_e,
-            version=profile.version,
+            p_producer=_impact_list(
+                universe.producer_capacity, universe._producer_slot,
+                profile.producer_counts, prior_p, total_p,
+            ),
+            p_entity=_impact_list(
+                universe.entity_capacity, universe._entity_slot,
+                profile.entity_counts, prior_e, total_e,
+            ),
+            floor_producer=prior_p / total_p,
+            floor_entity=prior_e / total_e,
         )
 
 
@@ -206,10 +213,11 @@ class QuerySignature:
     ) -> "QuerySignature":
         """Encode ``item`` (with its expanded weighted entity list) over a
         block universe."""
+        slot_of = universe._entity_slot.get  # bound once: this loop is per query x block
         slot_weight: dict[int, float] = {}
         oov = 0.0
         for entity_id, weight in weighted_entities:
-            slot = universe.entity_slot(entity_id)
+            slot = slot_of(entity_id)
             if slot is None:
                 oov += weight
             else:
@@ -236,18 +244,33 @@ class QuerySignature:
         return float(p_producer[self.producer_slot])
 
 
-def relevance_from_parts(
-    p_long: float,
-    p_producer: float,
-    entity_sum: float,
-    p_short: float,
-    lambda_s: float,
-) -> float:
-    """Definition 2 / Eq. 3 combination used by both leaves and IEntries."""
-    long_score = (
-        np.log(max(p_long, PROB_FLOOR))
-        + np.log(max(p_producer, PROB_FLOOR))
-        + np.log(max(entity_sum, PROB_FLOOR))
-    )
-    short_score = np.log(max(p_short, PROB_FLOOR))
-    return float((1.0 - lambda_s) * long_score + lambda_s * short_score)
+@dataclass
+class QueryBatch:
+    """Several :class:`QuerySignature` of one block, as arrays to gather by.
+
+    Attributes:
+        slots / weights: per query, its entity slots (ascending) and their
+            accumulated weights.
+        oov_weight: per-query out-of-universe weight.
+        producer_slot: per-query producer slot, ``-1`` when out of universe.
+        category: per-query item category.
+    """
+
+    slots: list[np.ndarray]
+    weights: list[np.ndarray]
+    oov_weight: np.ndarray
+    producer_slot: np.ndarray
+    category: np.ndarray
+
+    @classmethod
+    def pack(cls, queries: Sequence[QuerySignature]) -> "QueryBatch":
+        return cls(
+            slots=[np.array([s for s, _ in q.entity_weights], dtype=np.intp) for q in queries],
+            weights=[np.array([w for _, w in q.entity_weights], dtype=float) for q in queries],
+            oov_weight=np.array([q.oov_weight for q in queries], dtype=float),
+            producer_slot=np.array(
+                [-1 if q.producer_slot is None else q.producer_slot for q in queries],
+                dtype=np.intp,
+            ),
+            category=np.array([q.category for q in queries], dtype=np.intp),
+        )

@@ -30,7 +30,9 @@ Three serving-layer mechanisms live here:
 - **Ordering.**  All model work — mutations and coalesced batches —
   runs on one model thread in *admission order* (the order frames were
   decoded per connection), which is what makes served streams
-  bit-reproducible against the in-process library call sequence.
+  bit-reproducible against the in-process library call sequence.  A
+  mutation closes the open coalescing window before it is queued, so a
+  write pipelined behind a read never overtakes it.
 
 Observability (see :mod:`repro.obs`): per-route, queue-wait and
 batch-execution latency live in mergeable
@@ -582,6 +584,11 @@ class RecommenderServer:
                     rid, "ok", result=ranked_to_wire(ranked)))
             return _map_future(ranked_future, lambda ranked: self._traced_reply(
                 rid, op, rt, ranked_to_wire(ranked)))
+        if op != "stats":
+            # Admission order across reads and writes: the open window
+            # holds recommends admitted *before* this operation, so it is
+            # queued on the model thread first (a no-op when empty).
+            self._coalescer.flush()
         if op == "recommend":
             item, k = payload["item"], payload["k"]
             rt = self._request_trace(payload)

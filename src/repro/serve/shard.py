@@ -331,6 +331,8 @@ class RecommenderShard:
         registry.histogram(
             "shard.item_seconds", bounds=metrics.item_latency.bounds, shard=shard
         ).merge(metrics.item_latency)
+        if self.index is not None:
+            registry.merge(self.index.obs_registry(shard=shard))
         return registry
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

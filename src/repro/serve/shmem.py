@@ -413,9 +413,9 @@ class _ShmemShardReader:
     """Worker-local state: the current attachment plus persistent metrics.
 
     Re-attaching replaces the shard object wholesale, so serving metrics
-    live in one :class:`~repro.serve.shard.ShardMetrics` owned by the
-    reader and re-installed on every freshly attached shard — telemetry
-    survives epoch bumps.
+    live in one :class:`~repro.serve.shard.ShardMetrics` (and one index
+    counter dict) owned by the reader and re-installed on every freshly
+    attached shard — telemetry survives epoch bumps.
     """
 
     def __init__(self, shard_id: int) -> None:
@@ -424,6 +424,7 @@ class _ShmemShardReader:
         self.shard_id = int(shard_id)
         self.attachment: Attachment | None = None
         self.metrics = ShardMetrics()
+        self.index_counters: dict | None = None
         self.attaches = 0
 
     def ensure(self, manifest: SegmentManifest):
@@ -438,6 +439,12 @@ class _ShmemShardReader:
         self.attachment = att
         self.attaches += 1
         att.state.metrics = self.metrics
+        if att.state.index is not None:
+            # Same for the index's pruning counters: this worker's own,
+            # not the parent's as of the publish.
+            if self.index_counters is None:
+                self.index_counters = dict.fromkeys(att.state.index.counters, 0)
+            att.state.index.counters = self.index_counters
         return att.state
 
     def close(self) -> None:

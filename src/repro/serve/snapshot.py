@@ -43,7 +43,10 @@ from repro.core.ssrec import SsRecRecommender
 #: facades' exec epoch/result-cache flags, EntityExpander's expand memo.
 #: Version-1 snapshots lack those attributes and would load cleanly only
 #: to crash on first serve, so they are rejected by the version check.
-SNAPSHOT_FORMAT_VERSION = 2
+#: Version 3: the pickled CPPse-index is a flat forest per block
+#: (``CPPseIndex.forests``) — version-2 payloads pickle node/entry classes
+#: that no longer exist.
+SNAPSHOT_FORMAT_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 STATE_NAME = "state.pkl"
 

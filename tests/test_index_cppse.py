@@ -14,12 +14,28 @@ def scan_restricted_to(recommender, item, users, k):
 
 
 class TestBuild:
-    def test_every_consumer_is_blocked_and_vectorized(self, fitted_ssrec_indexed):
+    def test_every_consumer_is_blocked_and_has_a_leaf_row(self, fitted_ssrec_indexed):
         index = fitted_ssrec_indexed.index
         assert set(index.block_of_user) == {
             p.user_id for p in fitted_ssrec_indexed.profiles
         }
-        assert set(index.vector_of_user) == set(index.block_of_user)
+        for user_id, block_id in index.block_of_user.items():
+            forest = index.forests[block_id]
+            assert forest.user_ids[forest.row_of[user_id]] == user_id
+
+    def test_leaf_rows_hold_the_scorer_probabilities(self, fitted_ssrec_indexed):
+        """A member's leaf row is its impact encoding: exactly the smoothed
+        probabilities the sequential scan scores with."""
+        index, scorer = fitted_ssrec_indexed.index, fitted_ssrec_indexed.scorer
+        forest = max(index.forests, key=lambda f: f.n_members)
+        for user_id in forest.member_ids().tolist()[:5]:
+            profile, row = fitted_ssrec_indexed.profiles.get(user_id), forest.row_of[user_id]
+            for entity_id in forest.universe.entity_ids()[:10]:
+                slot = forest.universe.entity_slot(entity_id)
+                assert forest.entity[slot, row] == scorer.entity_probability(profile, entity_id)
+            for producer_id in forest.universe.producer_ids():
+                slot = forest.universe.producer_slot(producer_id)
+                assert forest.producer[slot, row] == scorer.producer_probability(profile, producer_id)
 
     def test_trees_cover_block_categories(self, fitted_ssrec_indexed):
         index = fitted_ssrec_indexed.index
@@ -30,7 +46,7 @@ class TestBuild:
     def test_hash_table_routes_universe_pairs(self, fitted_ssrec_indexed):
         index = fitted_ssrec_indexed.index
         block = index.blocks[0]
-        universe = index.universes[block.block_id]
+        universe = index.forests[block.block_id].universe
         category = next(iter(block.categories))
         entity = universe.entity_ids()[0]
         ptrs = index.hash_table.lookup(category, entity)
@@ -43,7 +59,7 @@ class TestBuild:
     def test_signature_statistics_shape(self, fitted_ssrec_indexed):
         stats = fitted_ssrec_indexed.index.signature_statistics()
         assert stats["n_blocks"] >= 1
-        assert stats["n_trees"] >= stats["n_blocks"]
+        assert stats["n_trees"] == sum(len(b.categories) for b in fitted_ssrec_indexed.index.blocks)
         assert stats["max_entity_num"] > 0
 
 
@@ -173,14 +189,15 @@ class TestMaintenance:
         rec.index.maintain([new_user])
         assert new_user in rec.index.block_of_user
         block_id = rec.index.block_of_user[new_user]
-        tree = rec.index.trees[(block_id, item.category)]
-        assert tree.find_leaf_entry(new_user) is not None
+        assert (block_id, item.category) in rec.index.trees
+        assert new_user in rec.index.forests[block_id].row_of
+        assert new_user in rec.index.users_in_probed_trees(item)
 
     def test_new_entity_extends_universe_and_hash(self, fresh_ssrec_indexed, ytube_small):
         rec = fresh_ssrec_indexed
         profile = next(p for p in rec.profiles if p.n_long_events >= 5)
         block_id = rec.index.block_of_user[profile.user_id]
-        universe = rec.index.universes[block_id]
+        universe = rec.index.forests[block_id].universe
         new_entity = max(universe.entity_ids()) + 500
         base = ytube_small.items[0]
         item = SocialItem(
@@ -193,7 +210,7 @@ class TestMaintenance:
         )
         self._record_events(rec, profile.user_id, item, profile.window_size)
         rec.index.maintain([profile.user_id])
-        universe = rec.index.universes[rec.index.block_of_user[profile.user_id]]
+        universe = rec.index.forests[rec.index.block_of_user[profile.user_id]].universe
         assert universe.entity_slot(new_entity) is not None
         for category in rec.index.blocks[rec.index.block_of_user[profile.user_id]].categories:
             assert rec.index.block_of_user[profile.user_id] in rec.index.hash_table.lookup(
@@ -204,7 +221,7 @@ class TestMaintenance:
         rec = fresh_ssrec_indexed
         profile = next(p for p in rec.profiles if p.n_long_events >= 5)
         block_id = rec.index.block_of_user[profile.user_id]
-        universe = rec.index.universes[block_id]
+        universe = rec.index.forests[block_id].universe
         headroom = universe.entity_capacity - universe.n_entities
         base = ytube_small.items[0]
         start = 10**6
@@ -224,9 +241,56 @@ class TestMaintenance:
             self._record_events(rec, profile.user_id, base, 1)
         rec.index.maintain([profile.user_id])
         rec.index.check_invariants()
-        new_universe = rec.index.universes[block_id]
+        new_universe = rec.index.forests[block_id].universe
         assert new_universe is not universe  # rebuilt
         assert new_universe.entity_slot(start) is not None
+        # Open trees follow the block to its new forest, and every entity
+        # the rebuild absorbed is routed to them.
+        for category in rec.index.blocks[block_id].categories:
+            tree = rec.index.trees[(block_id, category)]
+            assert tree.forest is rec.index.forests[block_id]
+            for entity in (start, start + headroom + 4):
+                assert rec.index.hash_table.lookup(category, entity)[block_id] is tree
 
     def test_maintain_unknown_user_is_noop(self, fresh_ssrec_indexed):
         assert fresh_ssrec_indexed.index.maintain([99_999_999]) == 0
+
+
+class TestCounters:
+    def test_search_counters_track_pruning(self, fresh_ssrec_indexed, ytube_stream):
+        index = fresh_ssrec_indexed.index
+        items = ytube_stream.items_in_partition(2)[:6]
+        index.knn_batch(items + items[:2], 5)  # two duplicates share their search
+        counters = index.counters
+        assert counters["queries"] == 6
+        assert counters["blocks_probed"] == sum(len(index.locate_trees(it)) for it in items)
+        assert counters["reachable_users"] == sum(
+            len(index.users_in_probed_trees(it)) for it in items
+        )
+        assert 0 < counters["leaves_scored"] <= counters["reachable_users"]
+        # 80 users: every block starts (and ends) at its leaf level.
+        assert counters["bounds_evaluated"] == 0
+
+    def test_flush_counters_and_registry(self, fresh_ssrec_indexed, ytube_stream):
+        rec = fresh_ssrec_indexed
+        users = [p.user_id for p in rec.profiles][:3]
+        assert rec.index.maintain(users + [99_999_999]) == 3
+        counters = rec.index.counters
+        assert (counters["flushes"], counters["users_refreshed"]) == (1, 3)
+        assert counters["flush_us"] > 0
+        rec.recommend(ytube_stream.items_in_partition(2)[0], 5)
+        registry = {c.name: c.value for c in rec.obs_registry().counters()}
+        assert registry["index.users_refreshed"] == 3 and registry["index.queries"] == 1
+        share = {g.name: g.value for g in rec.obs_registry().gauges()}["index.scored_share"]
+        assert share == counters["leaves_scored"] / counters["reachable_users"]
+
+    def test_route_memo_follows_the_hash_table(self, fresh_ssrec_indexed, ytube_stream):
+        """Step 1 memoises (category, entity) -> blocks; a hash-table insert
+        (new entity, new category, rebuild) must not leave a stale route."""
+        index = fresh_ssrec_indexed.index
+        item = ytube_stream.items_in_partition(2)[0]
+        before = set(index.locate_trees(item))
+        entity = index.scorer.expanded_query(item)[0][0]
+        missing = next(b.block_id for b in index.blocks if b.block_id not in before)
+        index.hash_table.insert(item.category, entity, missing, index.trees.get((missing, item.category)))
+        assert missing in index._locate_blocks(item.category, index.scorer.expanded_query(item))

@@ -9,7 +9,6 @@ from repro.index.signature import (
     QuerySignature,
     UniverseOverflow,
     UserVector,
-    relevance_from_parts,
 )
 
 
@@ -136,20 +135,3 @@ class TestQuerySignature:
         p_entity = np.array([0.4, 0.1, 0.0, 0.0])
         expected = 2.0 * 0.4 + 0.5 * 0.1 + 0.3 * 0.01
         assert query.entity_sum(p_entity, floor_entity=0.01) == pytest.approx(expected)
-
-
-class TestRelevanceFromParts:
-    def test_matches_score_parts_combine(self):
-        from repro.core.matching import ScoreParts
-
-        parts = ScoreParts(0.2, 0.05, 0.3, 0.1)
-        assert relevance_from_parts(0.2, 0.05, 0.3, 0.1, 0.4) == pytest.approx(
-            parts.combine(0.4)
-        )
-
-    def test_monotone_in_every_component(self):
-        base = relevance_from_parts(0.2, 0.05, 0.3, 0.1, 0.4)
-        assert relevance_from_parts(0.3, 0.05, 0.3, 0.1, 0.4) > base
-        assert relevance_from_parts(0.2, 0.06, 0.3, 0.1, 0.4) > base
-        assert relevance_from_parts(0.2, 0.05, 0.4, 0.1, 0.4) > base
-        assert relevance_from_parts(0.2, 0.05, 0.3, 0.2, 0.4) > base

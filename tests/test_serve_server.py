@@ -362,6 +362,40 @@ class TestErrorsAndOps:
             stub.expected(1, 2), stub.expected(2, 5), stub.expected(3, 2)
         ]
 
+    @pytest.mark.parametrize("max_delay", [0.0, 0.05])
+    def test_write_pipelined_behind_read_keeps_admission_order(self, max_delay):
+        """recommend -> update -> recommend pipelined on one connection must
+        answer like the in-process sequence: the update closes the open
+        coalescing window instead of overtaking the read waiting in it."""
+        from repro.datasets.schema import Interaction
+
+        class CountingStub(StubRecommender):
+            def recommend_batch(self, items, k=None):
+                return [[(item.item_id, float(len(self.updated)))] for item in items]
+
+        interaction = Interaction(user_id=7, item_id=1, category=1, producer=2, timestamp=1.0)
+        reference = CountingStub()
+        expected = [reference.recommend(make_item(1), 1)]
+        reference.update(interaction, make_item(1))
+        expected.append(reference.recommend(make_item(2), 1))
+
+        server = RecommenderServer(CountingStub(), max_delay=max_delay)
+
+        async def run():
+            client = await AsyncRecommenderClient.connect(server.host, server.port)
+            try:
+                first, _, second = await asyncio.gather(
+                    client.recommend(make_item(1), 1),
+                    client.update(interaction, make_item(1)),
+                    client.recommend(make_item(2), 1),
+                )
+                return [first, second]
+            finally:
+                await client.close()
+
+        with ServerThread(server):
+            assert asyncio.run(run()) == expected
+
     def test_port_conflict_surfaces_on_start(self):
         server = RecommenderServer(StubRecommender())
         with ServerThread(server) as (host, port):

@@ -412,6 +412,43 @@ class TestShmemIndexParity:
             twin.close()
 
 
+    def test_index_publishes_a_few_buffers_per_block_not_per_user(
+        self, fitted_ssrec_indexed
+    ):
+        """The flat forest is a fixed handful of contiguous arrays per
+        block, whatever its height or member count: the out-of-band buffers
+        an indexed shard's publish adds over the same shard without its
+        index are O(blocks x levels), never O(users).  (The rest of a
+        shard still ships small per-user arrays — ``core.interest``'s
+        filtered states — which this test deliberately factors out.)"""
+        import json
+        import struct
+
+        def published_buffers(state) -> int:
+            manifest, shm = publish_state(state, epoch=1)
+            try:
+                (header_len,) = struct.unpack("<I", bytes(shm.buf[8:12]))
+                return len(json.loads(bytes(shm.buf[12 : 12 + header_len]))["buffers"])
+            finally:
+                shm.close()
+                shm.unlink()
+
+        service = ShardedRecommender.from_trained(
+            copy.deepcopy(fitted_ssrec_indexed),
+            n_shards=2, strategy="block", use_index=True, backend="sequential",
+        )
+        for shard in service.shards:
+            shard.prepare_for_publish()
+            with_index = published_buffers(shard)
+            index, shard.index = shard.index, None
+            without_index = published_buffers(shard)
+            shard.index = index
+            levels = sum(forest.height for forest in index.forests)
+            assert shard.n_users > 3 * len(index.forests)  # the bounds below are not vacuous
+            # Ten forest arrays plus the block's centroid.
+            assert 0 < with_index - without_index <= 11 * len(index.forests) <= 6 * levels
+
+
 class TestShmemSnapshot:
     def test_snapshot_round_trip_drops_segments(
         self, fitted_ssrec, stream_slice, tmp_path

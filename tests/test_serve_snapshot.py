@@ -120,12 +120,13 @@ class TestManifest:
         with pytest.raises(SnapshotError, match="manifest"):
             read_manifest(tmp_path / "nowhere")
 
-    def test_unsupported_version(self, ytube_small, ytube_stream, tmp_path):
+    @pytest.mark.parametrize("version", [2, 999])  # 2: the object-tree index era
+    def test_unsupported_version(self, ytube_small, ytube_stream, tmp_path, version):
         rec = _fresh(ytube_small, ytube_stream, False)
         save_snapshot(rec, tmp_path / "snap")
         manifest_path = tmp_path / "snap" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = 999
+        manifest["format_version"] = version
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(SnapshotError, match="format"):
             SsRecRecommender.load(tmp_path / "snap")
