@@ -57,13 +57,13 @@ def test_conformance(bench_run, bench_seed, save_result):
     # every window of every adversarial scenario.
     assert result.conformant, result.to_text()
     # Each replayed scenario actually exercised the full path matrix —
-    # the registry-derived catalog (cached variants included), the
+    # the registry-derived catalog (dedup variants included), the
     # process backend with its mid-stream worker restart, and the
     # sharded index path with its mid-stream snapshot reload.
     from repro.sim import CONFORMANCE_PATHS
 
     for report in result.reports:
         assert set(report.paths) == set(CONFORMANCE_PATHS)
-        assert any(name.endswith("-cached") for name in report.paths)
+        assert any(name.endswith("-dedup") for name in report.paths)
         assert report.paths["sharded-index-block"].snapshot_reloads >= 1
         assert report.paths["sharded-scan-process"].worker_restarts >= 1

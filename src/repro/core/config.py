@@ -87,13 +87,13 @@ class SsRecConfig:
             (processes attaching zero-copy shared-memory views of the
             shard state; see :mod:`repro.serve.shmem`).  Results are
             bit-identical across backends; only the cost profile differs.
-        result_cache: serve through the ``*-cached`` execution-plan
-            variants (:mod:`repro.exec.cache`) — an exact LRU memo of
-            final ranked lists keyed on item signature and the mutation
-            epoch, so cached results are bit-identical to uncached
-            serving (conformance-enforced); only repeated deliveries get
-            cheaper.
-        result_cache_size: LRU capacity of the plan-level result cache.
+        result_cache: legacy spelling of ``dedup="exact"``, not an axis
+            of its own: with ``dedup="off"`` it asks for the exact memo
+            stage (resolved in ``PlanRegistry.for_config``); with any
+            other ``dedup`` it is a no-op.
+        result_cache_size: footprint bound of the memo stage — LRU
+            capacity of the exact memo, generation size of the
+            approximate group store (:mod:`repro.exec.dedup`).
         scoring: scoring backend of the serving paths — ``"vectorized"``
             (the NumPy batch scorer) or ``"native"`` (the fused
             numba kernels of :mod:`repro.core.kernels`; selects the
@@ -102,7 +102,8 @@ class SsRecConfig:
             ``log``, ULP-level only); when the compiled kernels are
             unavailable the native plans serve through the vectorized
             pipeline bit-identically, with a one-time warning.
-        dedup: near-duplicate upload collapse ahead of scoring — ``"off"``,
+        dedup: the one memo stage, duplicate upload collapse ahead of
+            scoring — ``"off"``,
             ``"exact"`` (provable-equality collapse; results stay
             bit-identical to undeduped serving, conformance-enforced) or
             ``"approx"`` (MinHash/LSH collapse at the Jaccard threshold

@@ -100,26 +100,27 @@ class MatchingScorer:
         self.config = config
         self.n_producers = int(n_producers)
         self.n_entities = int(n_entities)
-        self._query_cache: dict[int, list[tuple[int, float]]] = {}
+        self._query_cache: dict[int, tuple[tuple[int, float], ...]] = {}
 
     # ------------------------------------------------------------------
     # Query construction
     # ------------------------------------------------------------------
-    def expanded_query(self, item: SocialItem) -> list[tuple[int, float]]:
+    def expanded_query(self, item: SocialItem) -> tuple[tuple[int, float], ...]:
         """``(entity_id, weight)`` pairs of ``E u E'``.
 
         Original entities carry weight 1 and keep their multiplicity;
         expansion entities carry their proximity weight (Sec. IV-B).
-        Cached per item id — queries are immutable.
+        Frozen per item id as one tuple — queries are immutable, and the
+        serving memo (:mod:`repro.exec.dedup`) keys on the tuple as is.
         """
         cached = self._query_cache.get(item.item_id)
         if cached is not None:
             return cached
-        query: list[tuple[int, float]] = [(int(e), 1.0) for e in item.entities]
+        pairs: list[tuple[int, float]] = [(int(e), 1.0) for e in item.entities]
         if self.expander is not None and self.config.use_expansion:
             for expansion in self.expander.expand_set(item.category, item.entities):
-                query.append((expansion.entity_id, expansion.weight))
-        self._query_cache[item.item_id] = query
+                pairs.append((expansion.entity_id, expansion.weight))
+        query = self._query_cache[item.item_id] = tuple(pairs)
         return query
 
     # ------------------------------------------------------------------

@@ -69,12 +69,9 @@ class SsRecRecommender:
         self._updates_since_maintenance = 0
         self._fitted = False
         # Execution-plan state (repro.exec): the compiled pipeline serving
-        # runs through, the mutation epoch that invalidates cached results,
-        # and the plan-level result cache for the *-cached plan variants.
+        # runs through (derived from ``config``) and the mutation epoch
+        # that invalidates memoized results.
         self.exec_epoch = 0
-        self._result_cache_enabled = self.config.result_cache
-        self._scoring = self.config.scoring
-        self._dedup_mode = self.config.dedup
         self._compiled = None  # CompiledPlan, built lazily per current state
 
     # ------------------------------------------------------------------
@@ -259,7 +256,7 @@ class SsRecRecommender:
         self._require_fitted()
         event = ProfileEvent.from_interaction(interaction, item)
         profile, _ = self.profiles.record(interaction.user_id, event)
-        self.exec_epoch += 1  # scores may move: orphan cached results
+        self.exec_epoch += 1  # scores may move: orphan memoized results
         if self.index is not None:
             self._maintenance_pending.add(profile.user_id)
             self._updates_since_maintenance += 1
@@ -272,7 +269,7 @@ class SsRecRecommender:
         Returns the number of user profiles refreshed.
         """
         self._require_fitted()
-        self.exec_epoch += 1  # Algorithm-2 flush: orphan cached results
+        self.exec_epoch += 1  # Algorithm-2 flush: orphan memoized results
         if self.index is None or not self._maintenance_pending:
             self._maintenance_pending.clear()
             self._updates_since_maintenance = 0
@@ -290,9 +287,10 @@ class SsRecRecommender:
 
         The plan is derived from the current state and config by
         :meth:`repro.exec.PlanRegistry.for_config` (candidate source from
-        the attached index, caching from ``result_cache``) and compiled
-        once; structural changes (``fit``, :meth:`attach_index`,
-        :meth:`enable_result_cache`) drop it for lazy recompilation.
+        the attached index; scoring and the memo stage from ``config``)
+        and compiled once; structural changes (``fit``,
+        :meth:`attach_index`, :meth:`configure`) drop it for lazy
+        recompilation.
         """
         if self._compiled is None:
             from repro.exec import (  # local: avoids cycle
@@ -305,82 +303,36 @@ class SsRecRecommender:
             # even when its config carries a sharded deployment shape (a
             # snapshot loaded for single-node serving, say) — sharding is
             # the ShardedRecommender's job.
-            plan = PLAN_REGISTRY.for_axes(
+            plan = PLAN_REGISTRY.for_config(
+                self.config,
                 use_index=self.index is not None,
                 placement=Placement.local(),
-                cached=self._result_cache_enabled,
-                scoring=self._scoring,
-                dedup=self._dedup_mode,
             )
             self._compiled = compile_plan(plan, self)
         return self._compiled
 
-    def set_scoring(self, mode: str) -> "SsRecRecommender":
-        """Switch the scoring backend (``"vectorized"`` / ``"native"``).
-
-        Selects the matching plan family on the next serve; ``"native"``
-        falls back to the vectorized pipeline (bit-identically, with a
-        one-time warning) when the compiled kernels are unavailable —
-        see :mod:`repro.core.kernels`.
+    def configure(self, **axes) -> "SsRecRecommender":
+        """Replace serving fields of ``config`` — ``scoring``, ``dedup``,
+        ``result_cache``/``result_cache_size`` and the ``dedup_*``
+        parameters, as documented on :class:`SsRecConfig` — on a live
+        recommender; the next serve recompiles with a cold memo.  Any
+        other field, or an invalid value, raises ``ValueError`` (see
+        :func:`repro.exec.configure`).
         """
-        from repro.core.config import SCORING_BACKENDS
+        from repro.exec import configure  # local: avoids cycle
 
-        if mode not in SCORING_BACKENDS:
-            raise ValueError(
-                f"scoring must be one of {SCORING_BACKENDS}, got {mode!r}"
-            )
-        self._scoring = mode
-        self._compiled = None
-        return self
+        return configure(self, **axes)
 
-    def enable_result_cache(self, enabled: bool = True) -> "SsRecRecommender":
-        """Switch serving to (or from) the ``*-cached`` plan variant.
-
-        The cache is exact — results stay bit-identical to uncached
-        serving (see :mod:`repro.exec.cache`); only repeated deliveries
-        between mutations get cheaper.
-        """
-        self._result_cache_enabled = bool(enabled)
-        self._compiled = None
-        return self
-
-    def result_cache_stats(self) -> dict | None:
-        """Hit/miss/eviction counters of the live result cache (None when
-        serving uncached)."""
-        compiled = self._compiled
-        if compiled is None or compiled.result_cache is None:
-            return None
-        return compiled.result_cache.stats.as_dict()
-
-    def set_dedup(self, mode: str) -> "SsRecRecommender":
-        """Switch serving to (or from) a ``*-dedup`` plan variant.
-
-        ``"exact"`` collapses provably-identical queries only (results
-        stay bit-identical to undeduped serving; conformance-enforced);
-        ``"approx"`` additionally collapses near-duplicate entity sets
-        at the config's Jaccard threshold — collapsed members receive
-        the representative's list; ``"off"`` restores plain serving.
-        See :mod:`repro.exec.dedup`.
-        """
-        from repro.core.config import DEDUP_MODES
-
-        if mode not in DEDUP_MODES:
-            raise ValueError(f"dedup must be one of {DEDUP_MODES}, got {mode!r}")
-        self._dedup_mode = mode
-        self._compiled = None
-        return self
-
-    def dedup_stats(self) -> dict | None:
-        """Collapse counters of the live dedup stage (None when serving
-        without dedup)."""
-        compiled = self._compiled
-        if compiled is None or compiled.dedup_state is None:
-            return None
-        return compiled.dedup_state.stats.as_dict()
+    def stats(self) -> dict:
+        """``{"plan": name, "dedup": counters | None}`` of the compiled
+        plan — which registered plan serves, and what its memo stage has
+        collapsed, founded and evicted since the last recompile."""
+        self._require_fitted()
+        return self.executor().stats()
 
     def obs_registry(self):
-        """The compiled plan's telemetry (cache hit/miss counters, dedup
-        collapse counters) plus the CPPse-index's pruning and maintenance
+        """The compiled plan's telemetry (the memo stage's collapse and
+        eviction counters) plus the CPPse-index's pruning and maintenance
         counters, as a
         :class:`~repro.obs.metrics.MetricsRegistry` — the same surface
         the sharded facade exposes, so the server's ``metrics`` route and
@@ -400,7 +352,7 @@ class SsRecRecommender:
         ``k=None`` means the configured ``default_k``; an explicit ``k=0``
         is an empty recommendation window and yields an empty list.
         Execution — candidate admission, the Algorithm-2 serve-time flush,
-        scoring, selection, caching — is entirely the compiled plan's.
+        the memo stage, scoring, selection — is entirely the compiled plan's.
         """
         self._require_fitted()
         return self.executor().run_item(item, k)
@@ -424,8 +376,8 @@ class SsRecRecommender:
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         """Snapshots and replicas drop the compiled plan (it holds live
-        object references and an in-memory result cache); it recompiles
-        lazily — empty cache, same plan — on the next serve."""
+        object references and the in-memory memo); it recompiles lazily
+        from ``config`` — cold memo, same plan — on the next serve."""
         state = dict(self.__dict__)
         state["_compiled"] = None
         return state

@@ -10,21 +10,20 @@ Regenerate any of the paper's tables/figures from the shell::
     python -m repro.eval fig11
 
 Beyond the paper, ``batch`` measures the batched serving path, ``sharded``
-sweeps the sharded serving runtime, ``cache`` measures the plan-level
-result cache on duplicate-heavy delivery, ``dedup`` measures the
-near-duplicate collapse stage on mutated-retry traffic (exit status 1 on
-any exact-mode divergence — CI gates on it), and ``conformance`` replays
+sweeps the sharded serving runtime, ``dedup`` measures the memo stage
+(duplicate collapse ahead of scoring) on mutated-retry traffic (exit
+status 1 on any exact-mode divergence — CI gates on it), and
+``conformance`` replays
 the adversarial scenario catalog through every registered execution plan
 against the naive oracle (exit status 1 on any divergence — CI gates on
 it)::
 
     python -m repro.eval batch --dataset YTube --scale default
     python -m repro.eval sharded --dataset YTube --scale default
-    python -m repro.eval cache --scale default
     python -m repro.eval dedup --scale default
     python -m repro.eval conformance
     python -m repro.eval conformance --scenarios bursty_uploads,abrupt_drift --events 300
-    python -m repro.eval conformance --paths scan-item,scan-item-cached,index-batch
+    python -m repro.eval conformance --paths scan-item,scan-item-dedup,index-batch
     python -m repro.eval conformance --list-paths
 
 The network layer has two entry points: ``serve`` fits on a dataset and
@@ -56,8 +55,8 @@ from repro.datasets.ytube import YTubeConfig, generate_ytube
 from repro.eval import experiments as ex
 
 SINGLE_DATASET_EXPERIMENTS = {
-    "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "batch", "sharded", "cache",
-    "dedup", "serve",
+    "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "batch", "sharded", "dedup",
+    "serve",
 }
 ALL_EXPERIMENTS = sorted(
     SINGLE_DATASET_EXPERIMENTS | {"table2", "table3", "fig11", "conformance", "loadgen"}
@@ -277,8 +276,6 @@ def main(argv: list[str] | None = None) -> int:
         result = ex.run_batch_throughput(dataset, seed=args.seed)
     elif args.experiment == "sharded":
         result = ex.run_sharded_throughput(dataset, seed=args.seed)
-    elif args.experiment == "cache":
-        result = ex.run_result_cache(base=dataset, seed=args.seed)
     elif args.experiment == "dedup":
         result = ex.run_dedup(base=dataset, seed=args.seed)
         print(result.to_text())

@@ -931,7 +931,7 @@ def run_conformance(
             YTube generator at ``seed``).
         paths: registry plan names to replay (default: every plan the
             :data:`repro.exec.PLAN_REGISTRY` marks for conformance,
-            ``*-cached`` variants included).
+            ``*-dedup`` variants included).
     """
     from repro.sim import ConformanceRunner, ScenarioGenerator  # local: keeps eval import-light
 
@@ -947,169 +947,6 @@ def run_conformance(
     )
     reports = [runner.run(scenario) for scenario in generator.generate_all(scenarios)]
     return ConformanceSuiteResult(seed=int(seed), k=int(k), reports=reports)
-
-
-@dataclass
-class ResultCacheResult:
-    """Cached-vs-uncached serving over one duplicate-heavy scenario.
-
-    Attributes:
-        scenario: replayed scenario name.
-        seed: scenario generator seed.
-        k: recommendation depth per query.
-        window_size: uploads per served window.
-        n_windows: windows served.
-        n_served: items served per replica (redeliveries included).
-        uncached_seconds: serve-loop wall clock of the uncached anchor.
-        cached_seconds: serve-loop wall clock of the cached plan.
-        cache_stats: hit/miss/eviction counters of the result cache.
-        parity_ok: every cached ranked list equalled the anchor's, bitwise.
-    """
-
-    scenario: str
-    seed: int
-    k: int
-    window_size: int
-    n_windows: int
-    n_served: int
-    uncached_seconds: float
-    cached_seconds: float
-    cache_stats: dict
-    parity_ok: bool
-
-    @property
-    def uncached_items_per_sec(self) -> float:
-        return self.n_served / self.uncached_seconds if self.uncached_seconds else 0.0
-
-    @property
-    def cached_items_per_sec(self) -> float:
-        return self.n_served / self.cached_seconds if self.cached_seconds else 0.0
-
-    @property
-    def speedup(self) -> float:
-        return (
-            self.cached_items_per_sec / self.uncached_items_per_sec
-            if self.uncached_items_per_sec
-            else 0.0
-        )
-
-    @property
-    def hit_rate(self) -> float:
-        return float(self.cache_stats.get("hit_rate", 0.0))
-
-    def to_text(self) -> str:
-        lines = [
-            "Plan-level result cache — cached vs uncached serving "
-            f"({self.scenario!r}, seed {self.seed})",
-            f"  windows={self.n_windows} items_served={self.n_served} "
-            f"k={self.k} window={self.window_size}",
-            f"  uncached: {self.uncached_items_per_sec:9.1f} items/sec "
-            f"({self.uncached_seconds:.3f}s)",
-            f"  cached:   {self.cached_items_per_sec:9.1f} items/sec "
-            f"({self.cached_seconds:.3f}s)",
-            f"  speedup: {self.speedup:.2f}x   hit_rate: {self.hit_rate:.1%} "
-            f"(hits={self.cache_stats.get('hits', 0)} "
-            f"misses={self.cache_stats.get('misses', 0)} "
-            f"evictions={self.cache_stats.get('evictions', 0)})",
-            f"  parity: {'bit-identical' if self.parity_ok else 'BROKEN'}",
-        ]
-        return "\n".join(lines)
-
-
-def run_result_cache(
-    base: Dataset | None = None,
-    scenario: str = "duplicate_out_of_order",
-    seed: int = 7,
-    k: int = 30,
-    window_size: int = 16,
-    max_events: int = 4800,
-    fit_seed: int = 1,
-    config: SsRecConfig | None = None,
-) -> ResultCacheResult:
-    """Measure the ``*-cached`` execution plans on duplicate-heavy traffic.
-
-    Two replicas of one trained scan-mode recommender replay the same
-    scenario stream (observes and updates applied to both): the uncached
-    anchor serves every delivered upload per item, the cached replica
-    serves the identical stream through its ``scan-item-cached`` plan.
-    Redelivered uploads whose signature was already served in the same
-    mutation epoch hit the cache; every ranked list is compared to the
-    anchor's bitwise, so the measured win is proven exact as it is timed.
-
-    The serve order alternates per window (uncached first on even
-    windows, cached first on odd) so neither replica systematically
-    benefits from warmed CPU caches.
-    """
-    from repro.sim import ScenarioGenerator  # local: keeps eval import-light
-
-    generator = ScenarioGenerator(base=base, seed=seed, max_events=max_events)
-    scn = generator.generate(scenario)
-    cfg = (config or SsRecConfig()).with_options(
-        maintenance_interval=scn.maintenance_interval
-    )
-    template = SsRecRecommender(config=cfg, use_index=False, seed=fit_seed)
-    template.fit(scn.dataset, scn.train_interactions)
-    uncached = copy.deepcopy(template)
-    cached = copy.deepcopy(template).enable_result_cache()
-
-    uncached_seconds = 0.0
-    cached_seconds = 0.0
-    n_windows = 0
-    n_served = 0
-    parity_ok = True
-
-    def serve(recommender, window) -> tuple[list, float]:
-        started = time.perf_counter()
-        ranked = [recommender.recommend(item, k) for item in window]
-        return ranked, time.perf_counter() - started
-
-    window: list = []
-    for event in scn.events:
-        if event.kind == "upload":
-            item = event.payload
-            uncached.observe_item(item)
-            cached.observe_item(item)
-            window.append(item)
-            if len(window) < window_size:
-                continue
-            # Absorb the updates accumulated since the last window
-            # *untimed* in both replicas (profile-row refresh + interest
-            # redistribution is identical shared work), so the timed
-            # loops isolate the serving machinery — the same warm-state
-            # discipline ``run_batch_throughput`` uses.
-            uncached.matcher.sync()
-            cached.matcher.sync()
-            if n_windows % 2 == 0:
-                want, u_secs = serve(uncached, window)
-                got, c_secs = serve(cached, window)
-            else:
-                got, c_secs = serve(cached, window)
-                want, u_secs = serve(uncached, window)
-            uncached_seconds += u_secs
-            cached_seconds += c_secs
-            parity_ok = parity_ok and got == want
-            n_served += len(window)
-            n_windows += 1
-            window = []
-        else:
-            interaction = event.payload
-            payload_item = scn.item_payload(interaction)
-            uncached.update(interaction, payload_item)
-            cached.update(interaction, payload_item)
-
-    stats = cached.result_cache_stats() or {}
-    return ResultCacheResult(
-        scenario=scenario,
-        seed=int(seed),
-        k=int(k),
-        window_size=int(window_size),
-        n_windows=n_windows,
-        n_served=n_served,
-        uncached_seconds=uncached_seconds,
-        cached_seconds=cached_seconds,
-        cache_stats=stats,
-        parity_ok=parity_ok,
-    )
 
 
 @dataclass
@@ -1236,9 +1073,7 @@ def run_dedup(
     every served upload.
 
     The replica serve order rotates per window so no replica
-    systematically benefits from warmed CPU caches — the same
-    discipline ``run_result_cache`` uses, generalized past two
-    replicas.
+    systematically benefits from warmed CPU caches.
     """
     from repro.sim import ScenarioGenerator  # local: keeps eval import-light
 
@@ -1255,12 +1090,11 @@ def run_dedup(
     template.fit(scn.dataset, scn.train_interactions)
 
     anchor = copy.deepcopy(template)
-    exact = copy.deepcopy(template).set_dedup("exact")
-    approx_replicas = []
-    for tau in taus:
-        replica = copy.deepcopy(template)
-        replica.config = cfg.with_options(dedup_threshold=tau)
-        approx_replicas.append((tau, replica.set_dedup("approx")))
+    exact = copy.deepcopy(template).configure(dedup="exact")
+    approx_replicas = [
+        (tau, copy.deepcopy(template).configure(dedup="approx", dedup_threshold=tau))
+        for tau in taus
+    ]
     replicas = [anchor, exact, *(rep for _, rep in approx_replicas)]
 
     seconds = [0.0] * len(replicas)
@@ -1324,7 +1158,7 @@ def run_dedup(
                 "tau": tau,
                 "seconds": seconds[2 + tau_index],
                 "recall": recall_sums[tau] / n_served if n_served else 0.0,
-                "stats": replica.dedup_stats() or {},
+                "stats": replica.stats()["dedup"],
             }
         )
     return DedupResult(
@@ -1336,7 +1170,7 @@ def run_dedup(
         n_served=n_served,
         anchor_seconds=seconds[0],
         exact_seconds=seconds[1],
-        exact_stats=exact.dedup_stats() or {},
+        exact_stats=exact.stats()["dedup"],
         exact_parity_ok=exact_parity_ok,
         default_tau=default_tau,
         approx=approx_rows,
@@ -1546,7 +1380,7 @@ def run_native_kernels(
 
     template = _fit_ssrec(dataset, stream, base, use_index=False, seed=seed)
     vectorized = template
-    native = copy.deepcopy(template).set_scoring("native")
+    native = copy.deepcopy(template).configure(scoring="native")
 
     def serve(rec: SsRecRecommender) -> tuple[list, float]:
         started = time.perf_counter()

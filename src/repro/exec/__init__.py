@@ -4,19 +4,24 @@ every recommend path.
 - :mod:`repro.exec.plan` — :class:`ExecPlan`, :class:`Placement` and the
   :class:`PlanRegistry` (``PLAN_REGISTRY`` is the process-wide default);
 - :mod:`repro.exec.ops` — the composable operators plans compile into;
-- :mod:`repro.exec.compile` — ``compile_plan`` / ``as_executor`` and the
-  shared ``coerce_k`` request prologue;
-- :mod:`repro.exec.cache` — the plan-level exact result cache backing the
-  ``*-cached`` plan variants;
-- :mod:`repro.exec.dedup` — the near-duplicate collapse memo backing the
-  ``*-dedup`` plan variants (exact and MinHash/LSH-approximate modes).
+- :mod:`repro.exec.compile` — ``compile_plan`` / ``as_executor``, the
+  shared ``coerce_k`` request prologue and the facades' one tuning
+  verb, ``configure``;
+- :mod:`repro.exec.dedup` — the one memo stage: the duplicate-collapse
+  store backing the ``*-dedup`` plan variants (exact and
+  MinHash/LSH-approximate modes).
 
 See docs/ARCHITECTURE.md §10 for the operator diagram and the
 how-to-add-a-plan recipe.
 """
 
-from repro.exec.cache import CacheStats, ResultCache
-from repro.exec.compile import CompiledPlan, as_executor, coerce_k, compile_plan
+from repro.exec.compile import (
+    CompiledPlan,
+    as_executor,
+    coerce_k,
+    compile_plan,
+    configure,
+)
 from repro.exec.dedup import DedupGroup, DedupState, DedupStats
 from repro.exec.ops import (
     CandidateOp,
@@ -30,7 +35,6 @@ from repro.exec.ops import (
     OracleScoreOp,
     OracleSelectOp,
     PreRankedSelectOp,
-    ResultCacheOp,
     ScoreOp,
     SelectOp,
     ServeOp,
@@ -52,7 +56,6 @@ from repro.exec.plan import (
 __all__ = [
     "BATCHINGS",
     "CANDIDATE_SOURCES",
-    "CacheStats",
     "CandidateOp",
     "CompiledPlan",
     "CppseKnnOp",
@@ -73,8 +76,6 @@ __all__ = [
     "Placement",
     "PlanRegistry",
     "PreRankedSelectOp",
-    "ResultCache",
-    "ResultCacheOp",
     "SCORINGS",
     "ScoreOp",
     "SelectOp",
@@ -84,5 +85,6 @@ __all__ = [
     "as_executor",
     "coerce_k",
     "compile_plan",
+    "configure",
     "flush_pending_maintenance",
 ]

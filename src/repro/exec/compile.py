@@ -13,16 +13,18 @@ through.  The ``owner`` is the state holder the operators wrap:
 The shared request prologue — ``k`` coercion (None means the config's
 ``default_k``; an explicit ``k=0`` stays an empty window) and the
 empty-batch short-circuit — lives here, once, instead of once per facade
-method.
+method.  So does the one tuning verb both facades expose:
+:func:`configure` replaces serving fields of the owner's ``config`` and
+drops its compiled plan, and :meth:`CompiledPlan.stats` is what their
+``stats()`` returns.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro.core.config import SsRecConfig
 from repro.datasets.schema import SocialItem
-from repro.exec.cache import ResultCache
 from repro.exec.dedup import DedupState
 from repro.obs.hooks import active_hooks
 from repro.exec.ops import (
@@ -38,7 +40,6 @@ from repro.exec.ops import (
     OracleScoreOp,
     OracleSelectOp,
     PreRankedSelectOp,
-    ResultCacheOp,
     ServeOp,
     TopKSelectOp,
     VectorizedScoreOp,
@@ -47,12 +48,74 @@ from repro.exec.plan import ExecPlan
 
 RankedList = list[tuple[int, float]]
 
+#: The ``SsRecConfig`` fields :func:`configure` may replace on a fitted
+#: facade: the ones only the compiled plan reads.  Everything else is
+#: baked into trained state (profiles, index, shard layout) at fit time.
+SERVING_AXES = (
+    "scoring",
+    "dedup",
+    "result_cache",
+    "result_cache_size",
+    "dedup_threshold",
+    "dedup_bands",
+    "dedup_rows",
+)
+
 
 def coerce_k(k: int | None, config: SsRecConfig) -> int:
     """The one ``k`` rule every recommend entry point shares:
     ``None`` means the configured ``default_k``; an explicit ``k=0`` is
     an empty recommendation window (and stays 0)."""
     return config.default_k if k is None else int(k)
+
+
+def configure(owner, **axes):
+    """Replace serving fields of ``owner.config`` and drop its compiled
+    plan, so the next serve recompiles (with a cold memo) against the
+    new axes.  The one tuning verb of both facades.
+
+    Only :data:`SERVING_AXES` may change after ``fit``; any other name
+    is a ``ValueError``, and values are validated by
+    ``SsRecConfig.__post_init__``.  ``owner.config`` stays the single
+    record of how the owner serves — snapshots, replicas and
+    :meth:`~repro.exec.plan.PlanRegistry.for_config` all read it.
+    """
+    unknown = sorted(set(axes) - set(SERVING_AXES))
+    if unknown:
+        raise ValueError(
+            f"configure() takes serving fields only ({', '.join(SERVING_AXES)}); "
+            f"got {', '.join(unknown)}"
+        )
+    owner.config = owner.config.with_options(**axes)
+    owner._compiled = None
+    return owner
+
+
+def run_requests(
+    run_batch: Callable[[Sequence[SocialItem], int | None], list[RankedList]],
+    requests: Sequence[tuple[SocialItem, int | None]],
+) -> list[RankedList]:
+    """Serve one *coalesced* micro-batch of independent requests.
+
+    This is the seam the network coalescer
+    (:class:`repro.serve.server.RecommenderServer`) executes through:
+    concurrently arriving ``(item, k)`` requests — possibly with
+    different ``k`` — are grouped by ``k`` and each group runs through
+    ``run_batch``, so the amortized window costs apply to traffic that
+    never asked to be a batch.  Results come back in request order and
+    are bit-identical to serving each request alone (the batch entry's
+    exactness guarantee).
+    """
+    requests = list(requests)
+    groups: dict[int | None, list[int]] = {}
+    for position, (_, k) in enumerate(requests):
+        groups.setdefault(k, []).append(position)
+    out: list[RankedList | None] = [None] * len(requests)
+    for k, positions in groups.items():
+        ranked = run_batch([requests[p][0] for p in positions], k)
+        for position, result in zip(positions, ranked):
+            out[position] = result
+    return out  # type: ignore[return-value]
 
 
 class CompiledPlan:
@@ -66,9 +129,8 @@ class CompiledPlan:
         plan: the declarative plan this pipeline implements.
         owner: the bound facade (state holder).
         ops: the stage list, applied in order.
-        result_cache: the plan-level cache (None for uncached plans).
-        dedup_state: the near-duplicate collapse memo (None when the
-            plan's ``dedup`` axis is ``"off"``).
+        dedup_state: the memo stage's store (None when the plan's
+            ``dedup`` axis is ``"off"``).
     """
 
     def __init__(
@@ -76,13 +138,11 @@ class CompiledPlan:
         plan: ExecPlan,
         owner,
         ops: Sequence[ServeOp],
-        result_cache: ResultCache | None = None,
         dedup_state: DedupState | None = None,
     ) -> None:
         self.plan = plan
         self.owner = owner
         self.ops = list(ops)
-        self.result_cache = result_cache
         self.dedup_state = dedup_state
 
     def run_item(self, item: SocialItem, k: int | None = None) -> RankedList:
@@ -123,40 +183,29 @@ class CompiledPlan:
     def run_requests(
         self, requests: Sequence[tuple[SocialItem, int | None]]
     ) -> list[RankedList]:
-        """Serve one *coalesced* micro-batch of independent requests.
+        """Mixed-``k`` coalesced serving (see :func:`run_requests`)."""
+        return run_requests(self.run_batch, requests)
 
-        This is the seam the network coalescer
-        (:class:`repro.serve.server.RecommenderServer`) executes through:
-        concurrently arriving ``(item, k)`` requests — possibly with
-        different ``k`` — are grouped by ``k`` and each group runs
-        through :meth:`run_batch`, so the amortized window costs apply to
-        traffic that never asked to be a batch.  Results come back in
-        request order and are bit-identical to serving each request
-        through :meth:`run_item` (the batch entry's exactness guarantee).
-        """
-        requests = list(requests)
-        if not requests:
-            return []
-        groups: dict[int | None, list[int]] = {}
-        for position, (_, k) in enumerate(requests):
-            groups.setdefault(k, []).append(position)
-        out: list[RankedList | None] = [None] * len(requests)
-        for k, positions in groups.items():
-            ranked = self.run_batch([requests[p][0] for p in positions], k)
-            for position, result in zip(positions, ranked):
-                out[position] = result
-        return out  # type: ignore[return-value]
+    def stats(self) -> dict:
+        """What the facades' ``stats()`` returns: the serving plan's name
+        and the memo stage's counters (None when ``dedup`` is off)."""
+        state = self.dedup_state
+        return {
+            "plan": self.plan.name,
+            "dedup": state.stats.as_dict() if state is not None else None,
+        }
 
     def obs_registry(self):
         """This pipeline's stage telemetry as a
         :class:`~repro.obs.metrics.MetricsRegistry`.
 
-        Exposes the result cache's hit/miss/eviction counters (plus a
-        ``cache.hit_rate`` gauge) and the dedup stage's collapse counters
-        under the plan's name, so the facades' merged registries — and
-        through them the server's ``metrics`` route and ``python -m
-        repro.obs summarize`` — report cache and dedup behavior without a
-        side channel.  Counters snapshot the live stats objects; the
+        Exposes the memo stage's collapse and eviction counters (plus a
+        ``dedup.collapse_rate`` gauge) under the plan's name, so the
+        facades' merged registries — and through them the server's
+        ``metrics`` route and ``python -m repro.obs summarize`` — report
+        memo behavior without a side channel.  ``dedup.evictions`` is the
+        footprint signal: representatives crowded out by
+        ``result_cache_size``.  Counters snapshot the live stats object; the
         registry is rebuilt per call, so merging it repeatedly into an
         aggregate view cannot double-count.
         """
@@ -164,12 +213,6 @@ class CompiledPlan:
 
         registry = MetricsRegistry()
         plan_name = self.plan.name
-        if self.result_cache is not None:
-            stats = self.result_cache.stats
-            registry.counter("cache.hits", plan=plan_name).inc(stats.hits)
-            registry.counter("cache.misses", plan=plan_name).inc(stats.misses)
-            registry.counter("cache.evictions", plan=plan_name).inc(stats.evictions)
-            registry.gauge("cache.hit_rate", plan=plan_name).set(stats.hit_rate)
         if self.dedup_state is not None:
             stats = self.dedup_state.stats
             mode = self.plan.dedup
@@ -182,6 +225,9 @@ class CompiledPlan:
             registry.counter(
                 "dedup.false_merge_checks", plan=plan_name, mode=mode
             ).inc(stats.false_merge_checks)
+            registry.counter("dedup.evictions", plan=plan_name, mode=mode).inc(
+                stats.evictions
+            )
             registry.gauge("dedup.collapse_rate", plan=plan_name, mode=mode).set(
                 stats.collapse_rate
             )
@@ -211,12 +257,7 @@ def _use_native(plan: ExecPlan) -> bool:
     return False
 
 
-def compile_plan(
-    plan: ExecPlan,
-    owner,
-    result_cache: ResultCache | None = None,
-    dedup_state: DedupState | None = None,
-) -> CompiledPlan:
+def compile_plan(plan: ExecPlan, owner) -> CompiledPlan:
     """Build the operator pipeline for ``plan`` over ``owner``'s state.
 
     Args:
@@ -224,13 +265,6 @@ def compile_plan(
         owner: a fitted local recommender (local plans) or a sharded
             service (sharded plans); validated by duck-typing the
             attributes the operators need.
-        result_cache: reuse an existing cache for cached plans; a fresh
-            one sized by ``config.result_cache_size`` is created when
-            omitted.
-        dedup_state: reuse an existing collapse memo for ``*-dedup``
-            plans; a fresh one parameterized by the owner's config
-            (``dedup_threshold``/``dedup_bands``/``dedup_rows``, sized by
-            ``result_cache_size``) is created when omitted.
     """
     if plan.is_sharded:
         if not hasattr(owner, "shards"):
@@ -263,15 +297,14 @@ def compile_plan(
         else:
             serve = [VectorizedScoreOp(owner), TopKSelectOp(owner)]
 
-    # Dedup wraps the serve stages first — ahead of scoring, and ahead of
-    # the fan-out on sharded plans, so one collapse saves every shard's
-    # pass.  The result cache (id-keyed, the cheapest lookup) wraps
-    # outermost: a redelivered id short-circuits before dedup even has to
-    # resolve the item's expanded query.
+    # The memo stage wraps the serve stages — ahead of scoring, and ahead
+    # of the fan-out on sharded plans, so one collapse saves every
+    # shard's pass.  Its store is parameterized by the owner's config and
+    # sized by ``result_cache_size``.
     dedup: DedupState | None = None
     if plan.dedup != "off":
         config = owner.config
-        dedup = dedup_state or DedupState(
+        dedup = DedupState(
             plan.dedup,
             threshold=config.dedup_threshold,
             n_bands=config.dedup_bands,
@@ -279,13 +312,7 @@ def compile_plan(
             max_groups=config.result_cache_size,
         )
         serve = [DedupOp(dedup, owner, serve)]
-    cache: ResultCache | None = None
-    if plan.cached:
-        cache = result_cache or ResultCache(owner.config.result_cache_size)
-        serve = [ResultCacheOp(cache, owner, serve)]
-    return CompiledPlan(
-        plan, owner, [*prologue, *serve], result_cache=cache, dedup_state=dedup
-    )
+    return CompiledPlan(plan, owner, [*prologue, *serve], dedup_state=dedup)
 
 
 class _RecommenderExecutor:
@@ -307,20 +334,8 @@ class _RecommenderExecutor:
     def run_requests(
         self, requests: Sequence[tuple[SocialItem, int | None]]
     ) -> list[RankedList]:
-        """Mixed-``k`` coalesced serving for adapted recommenders (same
-        contract as :meth:`CompiledPlan.run_requests`)."""
-        requests = list(requests)
-        if not requests:
-            return []
-        groups: dict[int | None, list[int]] = {}
-        for position, (_, k) in enumerate(requests):
-            groups.setdefault(k, []).append(position)
-        out: list[RankedList | None] = [None] * len(requests)
-        for k, positions in groups.items():
-            ranked = self.run_batch([requests[p][0] for p in positions], k)
-            for position, result in zip(positions, ranked):
-                out[position] = result
-        return out  # type: ignore[return-value]
+        """Mixed-``k`` coalesced serving (see :func:`run_requests`)."""
+        return run_requests(self.run_batch, requests)
 
 
 def as_executor(recommender):

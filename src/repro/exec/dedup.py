@@ -1,13 +1,10 @@
-"""Near-duplicate upload collapse: the memo behind :class:`DedupOp`.
+"""Duplicate upload collapse: the one memo stage, behind :class:`DedupOp`.
 
 At-least-once delivery makes the serving surface redundant: retry chains
 redeliver the same upload, sometimes with one mutated entity mention,
-and reposts carry the same content under another producer id.  The
-:class:`~repro.exec.cache.ResultCache` (keyed on the full item
-signature, id included) only collapses *bit-identical* redeliveries —
-every near-duplicate still pays the full Eq. 2-4 scoring pass.
-:class:`DedupState` is the content-similarity memo that collapses those
-too, in one of two strictness modes:
+and reposts carry the same content under another producer id.
+:class:`DedupState` is the memo that keeps those from paying the full
+Eq. 2-4 scoring pass again, in one of two strictness modes:
 
 **exact** — two uploads collapse iff they are *provably* the same query
 to the scorer.  Scoring (Eq. 2-4) reads exactly three things off an
@@ -22,7 +19,9 @@ two ids declaring identical entities can legitimately score differently.
 Keying on ``(category, producer, resolved expansion, k, epoch)`` makes
 an exact-mode hit bit-identical to recomputation by construction — the
 ``*-dedup`` plans are conformance-anchored bit-for-bit against their
-uncached anchors on every scenario.
+dedup-off anchors on every scenario.  A redelivered item *id* is the
+cheapest case of the same rule: the scorer freezes an id's expansion as
+one tuple, so its key is rebuilt without touching the pairs.
 
 **approx** — two uploads collapse when their declared entity *sets* are
 near-duplicates: same category, exact Jaccard similarity >= ``threshold``
@@ -35,18 +34,30 @@ Collapsed members receive the representative's served list verbatim,
 which is the accuracy-for-throughput trade the recall gate in
 ``benchmarks/bench_dedup.py`` measures.
 
-Both modes share the :class:`ResultCache` mutation-epoch discipline:
-the facade epoch is part of the exact key, and the approximate group
-store is dropped whenever the epoch moves, so no collapse can ever serve
-a ranked list computed under different profile state.  ``observe_item``
-deliberately does not bump the epoch (see :mod:`repro.exec.cache` for
-why that is sound), which is exactly what makes redelivery collapse
-possible in a live stream.
+Both modes share one **mutation-epoch** discipline: the facades bump a
+counter on every profile update and on every Algorithm-2 maintenance
+flush; the epoch is part of the exact key, and the approximate group
+store is dropped whenever it moves, so no collapse can ever serve a
+ranked list computed under different profile state.  Orphaned exact
+entries are not swept eagerly — the LRU retires them as fresh results
+land (``max_groups`` bounds the footprint either way, and every entry
+retired is counted in ``DedupStats.evictions``).
+
+What deliberately does **not** bump the epoch: ``observe_item``.  A new
+upload advances the producer layer and the entity expander, but neither
+changes the score of an *already-queried* item against the *current*
+profile state — expanded queries are frozen per item id in the scorer's
+query memo, and the interest predictor's per-user distributions are
+keyed on the profile version counters, which only move on interaction
+updates.  Re-serving a redelivered item therefore legally hits even when
+fresh uploads arrived in between, which is exactly what makes redelivery
+collapse possible in a live stream.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.datasets.schema import SocialItem
@@ -70,11 +81,16 @@ class DedupStats:
         false_merge_checks: LSH candidate pairs rejected by the exact
             Jaccard/category verification — each one is a would-be false
             merge the banding suggested and the verifier caught.
+        evictions: representatives retired by the footprint bound —
+            exact-mode LRU pops plus the groups an approx-mode
+            generation reset drops (epoch invalidation is not counted:
+            those entries were unservable, not crowded out).
     """
 
     collapsed: int = 0
     groups: int = 0
     false_merge_checks: int = 0
+    evictions: int = 0
 
     @property
     def lookups(self) -> int:
@@ -89,6 +105,7 @@ class DedupStats:
             "collapsed": self.collapsed,
             "groups": self.groups,
             "false_merge_checks": self.false_merge_checks,
+            "evictions": self.evictions,
             "collapse_rate": self.collapse_rate,
         }
 
@@ -145,7 +162,7 @@ class DedupState:
         self.threshold = float(threshold)
         self.max_groups = int(max_groups)
         self.stats = DedupStats()
-        # Exact mode: LRU memo, epoch in the key (the ResultCache shape).
+        # Exact mode: LRU memo, epoch in the key.
         self._exact: "OrderedDict[DedupKey, RankedList]" = OrderedDict()
         # Approx mode: group store, dropped wholesale on an epoch move.
         self._hasher = MinHasher(n_bands * n_rows, seed=seed) if mode == "approx" else None
@@ -163,7 +180,7 @@ class DedupState:
     @staticmethod
     def exact_key(
         item: SocialItem,
-        expanded_query: list[tuple[int, float]],
+        expanded_query: Sequence[tuple[int, float]],
         k: int,
         epoch: int,
     ) -> DedupKey:
@@ -172,14 +189,10 @@ class DedupState:
         ``expanded_query`` must be the *resolved* expansion from the
         owner's scorer (``scorer.expanded_query(item)``) — see the module
         docstring for why the raw entity list is not sound across ids.
+        The scorer hands it out as a frozen tuple, so building the key
+        of a redelivered id copies nothing.
         """
-        return (
-            int(item.category),
-            int(item.producer),
-            tuple((int(e), float(w)) for e, w in expanded_query),
-            int(k),
-            int(epoch),
-        )
+        return (item.category, item.producer, tuple(expanded_query), k, epoch)
 
     def lookup_exact(self, key: DedupKey) -> RankedList | None:
         """The representative's ranked list, or None when this content is
@@ -200,6 +213,7 @@ class DedupState:
         self._exact[key] = list(ranked)
         while len(self._exact) > self.max_groups:
             self._exact.popitem(last=False)
+            self.stats.evictions += 1
 
     # ------------------------------------------------------------------
     # Approx mode: MinHash/LSH group store
@@ -207,7 +221,7 @@ class DedupState:
     def sync_epoch(self, epoch: int) -> None:
         """Drop the approximate group store when the mutation epoch moved.
 
-        Same invalidation discipline as the result cache, enforced by
+        Same invalidation discipline as the exact memo, enforced by
         clearing instead of keying: a group's ranked list was computed
         under one profile state and must never be served under another.
         Counters survive — they describe the run, not the store.
@@ -244,6 +258,7 @@ class DedupState:
             # Generation reset: a coarse LRU. Admitted group objects stay
             # valid for holders (in-window members resolve fine); only
             # future collapses onto pre-reset groups are forfeited.
+            self.stats.evictions += len(self._groups)
             self._lsh.clear()
             self._groups.clear()
         group = DedupGroup(item.category, entities, k)
@@ -251,10 +266,3 @@ class DedupState:
         self._groups.append(group)
         self.stats.groups += 1
         return group, False
-
-    def clear(self) -> None:
-        """Drop every representative (counters are kept)."""
-        self._exact.clear()
-        if self._lsh is not None:
-            self._lsh.clear()
-        self._groups.clear()

@@ -19,10 +19,9 @@ The stage vocabulary:
 :class:`SelectOp`      rank and cut to the top-``k`` by ``(-score, user_id)``
 :class:`FanoutOp`      broadcast the query to every shard (backend-aware)
 :class:`MergeOp`       merge per-shard partial lists into the global top-k
-:class:`ResultCacheOp` memoize final ranked lists around an inner stage
-                       list (the ``*-cached`` plans)
-:class:`DedupOp`       collapse near-duplicate uploads onto one scoring
-                       pass ahead of ScoreOp (the ``*-dedup`` plans)
+:class:`DedupOp`       the one memo stage: collapse duplicate uploads onto
+                       one scoring pass around an inner stage list (the
+                       ``*-dedup`` plans)
 =====================  ==================================================
 
 One deliberate fusion: :class:`CppseKnnOp` is a ScoreOp *and* performs the
@@ -43,7 +42,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.datasets.schema import SocialItem
-from repro.exec.cache import CacheKey, ResultCache
 from repro.exec.dedup import DedupGroup, DedupKey, DedupState
 
 RankedList = list[tuple[int, float]]
@@ -123,8 +121,8 @@ class CppseProbeCandidateOp(CandidateOp):
 
     The probe itself happens inside Algorithm 1's descent
     (:class:`CppseKnnOp`); this stage owns the freshness prologue so a
-    cached pipeline still flushes on every request — keeping the cached
-    plan's maintenance cadence bit-identical to its uncached anchor.
+    memoized pipeline still flushes on every request — keeping a
+    ``*-dedup`` plan's maintenance cadence bit-identical to its anchor.
     """
 
     def __init__(self, owner) -> None:
@@ -427,85 +425,20 @@ class MergeOp(ServeOp):
 
 
 # ----------------------------------------------------------------------
-# Plan-level result caching
-# ----------------------------------------------------------------------
-class ResultCacheOp(ServeOp):
-    """Memoize an inner stage list's final ranked lists (``*-cached``).
-
-    Keys combine the item signature, ``k`` and the owner's mutation
-    epoch (see :mod:`repro.exec.cache` for the invalidation contract).
-    Sits *after* the candidate/prologue stage, so index plans flush
-    pending Algorithm-2 maintenance on every request — hit or miss —
-    exactly like their uncached anchors.
-
-    ``run_batch`` additionally deduplicates within the window: each
-    distinct missing signature is computed once through the inner stages
-    (as a sub-batch, preserving first-occurrence order) and repeated
-    occurrences are served from the freshly stored entries — the win the
-    duplicate-heavy delivery scenario measures.
-    """
-
-    def __init__(self, cache: ResultCache, owner, inner: Sequence[ServeOp]) -> None:
-        self.cache = cache
-        self.owner = owner
-        self.inner = list(inner)
-
-    def run_item(self, ctx: ExecContext) -> None:
-        key = self.cache.key(ctx.items[0], ctx.k, self.owner.exec_epoch)
-        hit = self.cache.lookup(key)
-        if hit is not None:
-            ctx.ranked = [hit]
-            return
-        for op in self.inner:
-            op.run_item(ctx)
-        self.cache.store(key, ctx.ranked[0])
-
-    def run_batch(self, ctx: ExecContext) -> None:
-        epoch = self.owner.exec_epoch
-        keys = [self.cache.key(item, ctx.k, epoch) for item in ctx.items]
-        results: list[RankedList | None] = [None] * len(ctx.items)
-        miss_positions: list[int] = []
-        missing_keys: set[CacheKey] = set()
-        for position, key in enumerate(keys):
-            if key in missing_keys:
-                continue  # in-batch duplicate: resolved after the compute pass
-            hit = self.cache.lookup(key)
-            if hit is not None:
-                results[position] = hit
-            else:
-                miss_positions.append(position)
-                missing_keys.add(key)
-        computed: dict[CacheKey, RankedList] = {}
-        if miss_positions:
-            sub = ExecContext([ctx.items[i] for i in miss_positions], ctx.k)
-            for op in self.inner:
-                op.run_batch(sub)
-            assert sub.ranked is not None
-            for position, ranked in zip(miss_positions, sub.ranked):
-                self.cache.store(keys[position], ranked)
-                computed[keys[position]] = ranked
-                results[position] = ranked
-        for position, key in enumerate(keys):
-            if results[position] is None:
-                entry = self.cache.lookup(key)
-                if entry is None:  # evicted within the window (tiny cache)
-                    entry = list(computed[key])
-                results[position] = entry
-        ctx.ranked = results
-
-
-# ----------------------------------------------------------------------
 # Near-duplicate collapse
 # ----------------------------------------------------------------------
 class DedupOp(ServeOp):
-    """Collapse near-duplicate uploads onto one scoring pass (``*-dedup``).
+    """Collapse duplicate uploads onto one scoring pass (``*-dedup``).
 
-    Wraps an inner stage list ahead of its ScoreOp, exactly like
-    :class:`ResultCacheOp` — but keyed on *content similarity* instead of
-    the full item signature, so redeliveries under fresh item ids (and,
-    in approximate mode, mutated retries and cross-producer reposts)
-    skip the Eq. 2-4 pass too.  The two strictness modes and their
-    soundness arguments live in :mod:`repro.exec.dedup`.
+    The one memo stage: wraps an inner stage list ahead of its ScoreOp
+    and serves a representative's final ranked list to every delivery
+    the scorer could not tell apart from it — a redelivered item id,
+    the same content under a fresh id and (in approximate mode) mutated
+    retries and cross-producer reposts all skip the Eq. 2-4 pass.  The
+    two strictness modes and their soundness arguments live in
+    :mod:`repro.exec.dedup`.  Sits *after* the candidate/prologue stage,
+    so index plans flush pending Algorithm-2 maintenance on every
+    request — hit or miss — exactly like their anchors.
 
     Exact mode resolves every item's expanded query through the owner's
     scorer to build its key.  On sharded owners that doubles as the

@@ -20,17 +20,15 @@ batching            ``item`` (one query per call) or ``micro-batch``
                     (amortized windows)
 placement           ``local`` (one process) or ``sharded(strategy,
                     backend)`` (fan-out + merge)
-cached              plan-level :class:`~repro.exec.cache.ResultCache`
-                    wrapped around scoring (the ``*-cached`` variants)
-dedup               near-duplicate upload collapse ahead of scoring
-                    (:mod:`repro.exec.dedup`): ``off``, ``exact``
-                    (bit-identical, conformance-anchored) or ``approx``
-                    (MinHash/LSH at a Jaccard threshold; the ``*-dedup``
-                    variants)
+dedup               the one memo stage — duplicate upload collapse ahead
+                    of scoring (:mod:`repro.exec.dedup`): ``off``,
+                    ``exact`` (bit-identical, conformance-anchored) or
+                    ``approx`` (MinHash/LSH at a Jaccard threshold; the
+                    ``*-dedup`` variants)
 ==================  =====================================================
 
 :class:`PlanRegistry` maps stable names ("scan-item",
-"sharded-index-block", "index-batch-cached", ...) to plans, derives the
+"sharded-index-block", "index-batch-dedup", ...) to plans, derives the
 plan a given :class:`~repro.core.config.SsRecConfig` asks for, and is the
 single source the conformance catalog enumerates — registering a plan is
 what puts it under differential test, there is no second list to update.
@@ -66,7 +64,8 @@ class Placement:
         strategy: user-partition strategy of a sharded placement
             (``"hash"`` or ``"block"``); None for local plans.
         backend: fan-out backend of a sharded placement (``"sequential"``,
-            ``"thread"`` or ``"process"``); None for local plans.
+            ``"thread"``, ``"process"`` or ``"shmem"``); None for local
+            plans.
     """
 
     kind: str = "local"
@@ -109,8 +108,7 @@ class ExecPlan:
         batching: ``"item"`` or ``"micro-batch"`` — the entry point the
             conformance replay drives (compiled plans serve both).
         placement: local or sharded placement.
-        cached: wrap scoring in a plan-level result cache.
-        dedup: near-duplicate upload collapse ahead of scoring —
+        dedup: duplicate upload collapse ahead of scoring —
             ``"off"``, ``"exact"`` (provable-equality collapse; results
             stay bit-identical, so these plans anchor bit-for-bit) or
             ``"approx"`` (MinHash/LSH collapse at a Jaccard threshold;
@@ -145,7 +143,6 @@ class ExecPlan:
     scoring: str = "vectorized"
     batching: str = "item"
     placement: Placement = field(default_factory=Placement.local)
-    cached: bool = False
     dedup: str = "off"
     transport: str = "inproc"
     description: str = ""
@@ -199,14 +196,15 @@ class ExecPlan:
 
     def config_overrides(self) -> dict:
         """``SsRecConfig.with_options`` overrides that make a config ask
-        for this plan's placement, scoring and caching.
+        for this plan's placement, scoring and memo stage.
 
         The candidate source (``use_index``) and batching are per-call
         facts, not config fields, so :meth:`PlanRegistry.for_config`
         takes them as arguments; everything else round-trips through
         ``SsRecConfig.to_dict``/``from_dict`` (property-tested).
         """
-        overrides: dict = {"result_cache": self.cached, "dedup": self.dedup}
+        # result_cache=False: the legacy spelling must not re-enable the memo.
+        overrides: dict = {"result_cache": False, "dedup": self.dedup}
         if self.config_derivable:  # oracle-reference has no config spelling
             overrides["scoring"] = self.scoring
         if self.is_sharded:
@@ -222,7 +220,7 @@ class ExecPlan:
     def axes(self) -> tuple:
         """The identity tuple :meth:`PlanRegistry.for_config` matches on."""
         return (self.candidate_source, self.scoring, self.batching, self.placement,
-                self.cached, self.transport, self.dedup)
+                self.transport, self.dedup)
 
     def describe(self) -> str:
         """One-line rendering for ``--list-paths`` and the docs."""
@@ -237,9 +235,7 @@ class ExecPlan:
             judge = f"within ties of {self.anchor}"
         else:
             judge = f"bit-identical to {self.anchor}"
-        flags = "cached " if self.cached else ""
-        if self.dedup != "off":
-            flags += f"dedup({self.dedup}) "
+        flags = f"dedup({self.dedup}) " if self.dedup != "off" else ""
         if self.is_wire:
             flags += "wire "
             judge += " through the wire"
@@ -319,51 +315,36 @@ class PlanRegistry:
         config: SsRecConfig,
         use_index: bool,
         batching: str = "item",
-        cached: bool | None = None,
+        placement: Placement | None = None,
     ) -> ExecPlan:
         """The plan a config (plus the per-call axes) asks for.
 
-        Placement comes from ``n_shards``/``shard_strategy``/``serve_backend``,
-        scoring from ``scoring``, caching from ``result_cache``
-        (overridable via ``cached``), the candidate source from
-        ``use_index``.  A registered plan with matching axes is returned
-        under its registered name; otherwise a plan is synthesized with a
-        systematic name, so every config is servable even before anyone
-        registers its shape.
+        Placement comes from ``n_shards``/``shard_strategy``/``serve_backend``
+        unless ``placement`` pins it (the facades pass their *live*
+        placement, which may be more specific than their config says),
+        scoring from ``scoring``, the candidate source from ``use_index``,
+        and the memo stage from ``dedup`` — with the legacy spelling
+        ``result_cache=True`` resolved here, once: it asks for the exact
+        memo when ``dedup`` is ``"off"`` and is otherwise a no-op, so the
+        two spellings compile the same plan.  A registered plan with
+        matching axes is returned under its registered name; otherwise a
+        plan is synthesized with a systematic name, so every config is
+        servable even before anyone registers its shape.
         """
-        placement = (
-            Placement.sharded(config.shard_strategy, config.serve_backend)
-            if config.n_shards > 1
-            else Placement.local()
-        )
-        return self.for_axes(
-            use_index=use_index,
-            placement=placement,
-            batching=batching,
-            cached=config.result_cache if cached is None else bool(cached),
-            scoring=config.scoring,
-            dedup=config.dedup,
-        )
-
-    def for_axes(
-        self,
-        use_index: bool,
-        placement: Placement,
-        batching: str = "item",
-        cached: bool = False,
-        scoring: str = "vectorized",
-        dedup: str = "off",
-    ) -> ExecPlan:
-        """The plan at an explicit axis point (registered name when one
-        matches, synthesized otherwise).  The sharded facade uses this to
-        pin plans to its *live* placement, which may be more specific
-        than its config says."""
+        if placement is None:
+            placement = (
+                Placement.sharded(config.shard_strategy, config.serve_backend)
+                if config.n_shards > 1
+                else Placement.local()
+            )
+        dedup = config.dedup
+        if dedup == "off" and config.result_cache:
+            dedup = "exact"
         axes = (
             "cppse-probe" if use_index else "full-scan",
-            scoring,
+            config.scoring,
             batching,
             placement,
-            bool(cached),
             "inproc",
             dedup,
         )
@@ -378,9 +359,8 @@ class PlanRegistry:
         scoring: str,
         batching: str,
         placement: Placement,
-        cached: bool,
-        transport: str = "inproc",
-        dedup: str = "off",
+        transport: str,
+        dedup: str,
     ) -> ExecPlan:
         """An unregistered-but-valid plan, named systematically."""
         parts = ["index" if candidate_source == "cppse-probe" else "scan"]
@@ -392,8 +372,6 @@ class PlanRegistry:
         parts.append("batch" if batching == "micro-batch" else "item")
         if scoring == "native":
             parts.append("native")
-        if cached:
-            parts.append("cached")
         if dedup == "exact":
             parts.append("dedup")
         elif dedup == "approx":
@@ -404,7 +382,6 @@ class PlanRegistry:
             scoring=scoring,
             batching=batching,
             placement=placement,
-            cached=cached,
             dedup=dedup,
             transport=transport,
             description="synthesized from config (not a registered path)",
@@ -423,12 +400,8 @@ def _build_default_registry() -> PlanRegistry:
     """Every serving path the repo ships, anchors before dependents.
 
     The first seven entries are the historical conformance catalog
-    (PR 2-4); the ``*-cached`` variants wrap their base plan's pipeline
-    in a :class:`~repro.exec.cache.ResultCache` and must reproduce the
-    uncached anchor bit for bit.  The sharded cached variant stays on
-    scan shards on purpose: scan mode has no shard-local Algorithm-2
-    state, so a service-level cache hit cannot perturb maintenance
-    cadence relative to its anchor.
+    (PR 2-4); the families after them each vary one axis of those base
+    shapes and anchor back to them.
     """
     registry = PlanRegistry()
     registry.register(ExecPlan(
@@ -545,16 +518,6 @@ def _build_default_registry() -> PlanRegistry:
         conformance=False,
         description="naive per-pair reference scorer (the judge itself)",
     ))
-    for base in ("scan-item", "scan-batch", "index-item", "index-batch",
-                 "sharded-scan-hash"):
-        plan = registry.get(base)
-        registry.register(replace(
-            plan,
-            name=f"{base}-cached",
-            cached=True,
-            anchor=plan.anchor or plan.name,
-            description=f"{plan.description} + plan-level result cache",
-        ))
     # The served-* family: the same logical query answered through the
     # network front door (repro.serve.server), judged bit-for-bit through
     # the socket against the in-process anchors.  micro-batch transport
@@ -576,13 +539,12 @@ def _build_default_registry() -> PlanRegistry:
         anchor="index-item",
         description="network-served CPPse-index, per-request dispatch",
     ))
-    # The *-dedup family: near-duplicate collapse ahead of scoring
+    # The *-dedup family: the memo stage ahead of scoring
     # (repro.exec.dedup).  Exact mode keys on the resolved scorer inputs,
     # so a collapse is provably the same query — these plans anchor
-    # bit-for-bit, like the cached family.  The sharded variant stays on
-    # scan shards for the same reason the cached one does: no shard-local
-    # Algorithm-2 state, so a pre-fan-out collapse cannot perturb
-    # maintenance cadence relative to the anchor.
+    # bit-for-bit.  The sharded variant stays on scan shards on purpose:
+    # scan mode has no shard-local Algorithm-2 state, so a pre-fan-out
+    # collapse cannot perturb maintenance cadence relative to the anchor.
     for base in ("scan-item", "scan-batch", "index-item", "index-batch",
                  "sharded-scan-hash"):
         plan = registry.get(base)

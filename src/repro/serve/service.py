@@ -168,12 +168,9 @@ class ShardedRecommender:
         self._executor: ThreadPoolExecutor | None = None
         self._pool = None  # ShardWorkerPool, started lazily (process backend)
         # Execution-plan state (repro.exec): the compiled fan-out/merge
-        # pipeline, the mutation epoch that invalidates cached results,
-        # and the result-cache switch for the *-cached plan variants.
+        # pipeline (derived from ``config``) and the mutation epoch that
+        # invalidates memoized results.
         self.exec_epoch = 0
-        self._result_cache_enabled = self.config.result_cache
-        self._scoring = self.config.scoring
-        self._dedup_mode = self.config.dedup
         self._compiled = None  # CompiledPlan, built lazily per current state
 
     # ------------------------------------------------------------------
@@ -291,7 +288,7 @@ class ShardedRecommender:
         state = dict(self.__dict__)
         state["_executor"] = None
         state["_pool"] = None
-        state["_compiled"] = None  # recompiles lazily (fresh result cache)
+        state["_compiled"] = None  # recompiles lazily from config (cold memo)
         return state
 
     def _sync_from_workers(self) -> None:
@@ -352,87 +349,55 @@ class ShardedRecommender:
         """The compiled fan-out/merge execution plan serving runs through.
 
         Derived from the config by :meth:`repro.exec.PlanRegistry.for_config`
-        (placement from the shard strategy and fan-out backend, caching
-        from ``result_cache``) and compiled once; the fan-out backend
-        dispatch lives in the plan's :class:`~repro.exec.ops.FanoutOp`.
+        (scoring and the memo stage from ``config``, placement pinned to
+        the live shard strategy and fan-out backend) and compiled once;
+        the fan-out backend dispatch lives in the plan's
+        :class:`~repro.exec.ops.FanoutOp`.
         """
         if self._compiled is None:
             from repro.exec import PLAN_REGISTRY, Placement, compile_plan
 
             # The live service's shape wins over the config (a service is
             # often built with explicit n_shards/strategy/backend args).
-            exec_plan = PLAN_REGISTRY.for_axes(
+            exec_plan = PLAN_REGISTRY.for_config(
+                self.config,
                 use_index=self.use_index,
                 placement=Placement.sharded(self.plan.strategy, self.backend),
-                cached=self._result_cache_enabled,
-                scoring=self._scoring,
-                dedup=self._dedup_mode,
             )
             self._compiled = compile_plan(exec_plan, self)
         return self._compiled
 
-    def set_scoring(self, mode: str) -> "ShardedRecommender":
-        """Switch every shard's scoring backend (``"vectorized"`` /
-        ``"native"``).
+    def configure(self, **axes) -> "ShardedRecommender":
+        """Replace serving fields of the service's ``config``; fields and
+        errors as in :meth:`SsRecRecommender.configure`.
 
-        Native scoring composes with sharding at the *shard* level — the
-        fan-out/merge pipeline is scoring-agnostic, each shard serves its
-        slice through the fused kernels (or falls back, per shard, when
-        they are unavailable).  Reaches in-process shards immediately;
-        the process/shmem backends pickle shard state at pool start, so
-        set the config's ``scoring`` (or call this) *before* the first
-        serve to affect worker processes.
-        """
-        from repro.core.config import SCORING_BACKENDS
-
-        if mode not in SCORING_BACKENDS:
-            raise ValueError(
-                f"scoring must be one of {SCORING_BACKENDS}, got {mode!r}"
-            )
-        for shard in self.shards:
-            shard.set_scoring(mode)
-        self._scoring = mode
-        self._compiled = None
-        return self
-
-    def enable_result_cache(self, enabled: bool = True) -> "ShardedRecommender":
-        """Switch serving to (or from) the ``*-cached`` plan variant (an
-        exact memo above the fan-out; see :mod:`repro.exec.cache`)."""
-        self._result_cache_enabled = bool(enabled)
-        self._compiled = None
-        return self
-
-    def result_cache_stats(self) -> dict | None:
-        """Hit/miss/eviction counters of the live result cache (None when
-        serving uncached)."""
-        compiled = self._compiled
-        if compiled is None or compiled.result_cache is None:
-            return None
-        return compiled.result_cache.stats.as_dict()
-
-    def set_dedup(self, mode: str) -> "ShardedRecommender":
-        """Switch serving to (or from) a ``*-dedup`` plan variant.
-
-        The collapse stage sits *above* the fan-out (it wraps the
+        The memo stage sits *above* the fan-out (it wraps the
         fan-out/merge pipeline), so one collapsed upload saves the
-        scoring pass on every shard at once.  Modes as in
-        :meth:`SsRecRecommender.set_dedup`.
+        scoring pass on every shard at once.  ``scoring`` composes with
+        sharding at the *shard* level — the fan-out/merge pipeline is
+        scoring-agnostic, each shard serves its slice through the fused
+        kernels (or falls back, per shard, when they are unavailable) —
+        so it is pushed to every shard.  That reaches in-process shards
+        immediately; the process/shmem backends pickle shard state at
+        pool start, so configure ``scoring`` *before* the first serve to
+        affect worker processes.
         """
-        from repro.core.config import DEDUP_MODES
+        from repro.exec import configure
 
-        if mode not in DEDUP_MODES:
-            raise ValueError(f"dedup must be one of {DEDUP_MODES}, got {mode!r}")
-        self._dedup_mode = mode
-        self._compiled = None
+        # The trained model underneath keeps the same record, so a
+        # snapshot (which documents ``trained.config``) and a later
+        # single-node load of it serve the way this service did.
+        for owner in (self.trained, self):
+            configure(owner, **axes)
+        if "scoring" in axes:
+            for shard in self.shards:
+                shard.set_scoring(self.config.scoring)
         return self
 
-    def dedup_stats(self) -> dict | None:
-        """Collapse counters of the live dedup stage (None when serving
-        without dedup)."""
-        compiled = self._compiled
-        if compiled is None or compiled.dedup_state is None:
-            return None
-        return compiled.dedup_state.stats.as_dict()
+    def stats(self) -> dict:
+        """``{"plan": name, "dedup": counters | None}`` of the compiled
+        plan (see :meth:`SsRecRecommender.stats`)."""
+        return self.executor().stats()
 
     def recommend(self, item: SocialItem, k: int | None = None) -> list[tuple[int, float]]:
         """Global top-``k`` ``(user_id, score)`` — identical to the single
@@ -486,7 +451,7 @@ class ShardedRecommender:
         """Route one interaction to the owning shard (new users included)."""
         user_id = int(interaction.user_id)
         shard_id = self.plan.shard_of(user_id)
-        self.exec_epoch += 1  # scores may move: orphan cached results
+        self.exec_epoch += 1  # scores may move: orphan memoized results
         if self.backend == "process":
             # The worker's shard store records (and creates) the profile;
             # the parent's mirror is re-aliased on the next state sync.
@@ -508,7 +473,7 @@ class ShardedRecommender:
     def run_maintenance(self) -> int:
         """Flush every shard's pending Algorithm-2 work; returns profiles
         refreshed across shards."""
-        self.exec_epoch += 1  # Algorithm-2 flush: orphan cached results
+        self.exec_epoch += 1  # Algorithm-2 flush: orphan memoized results
         if self.backend == "process" and self._pool_active():
             return sum(self._pool.map("maintenance"))
         refreshed = sum(shard.run_maintenance() for shard in self.shards)
@@ -579,8 +544,8 @@ class ShardedRecommender:
             for shard in self.shards:
                 registry.merge(shard.obs_registry())
         if self._compiled is not None:
-            # Plan-level stage telemetry (result-cache hit rate, dedup
-            # collapse counters) lives above the fan-out, in the parent's
+            # Plan-level stage telemetry (the memo stage's collapse and
+            # eviction counters) lives above the fan-out, in the parent's
             # compiled pipeline.
             registry.merge(self._compiled.obs_registry())
         return registry

@@ -157,14 +157,9 @@ class RecommenderShard:
         self._native = None  # lazily-built NativeEngine (native scoring only)
 
     def set_scoring(self, mode: str) -> None:
-        """Switch this shard's scoring backend (see the facades'
-        ``set_scoring``); the native engine is rebuilt lazily."""
-        from repro.core.config import SCORING_BACKENDS
-
-        if mode not in SCORING_BACKENDS:
-            raise ValueError(
-                f"scoring must be one of {SCORING_BACKENDS}, got {mode!r}"
-            )
+        """Switch this shard's scoring backend (pushed down, already
+        validated, by the sharded facade's ``configure(scoring=...)``);
+        the native engine is rebuilt lazily."""
         self._scoring = mode
         self._native = None
 

@@ -46,7 +46,12 @@ from repro.core.ssrec import SsRecRecommender
 #: Version 3: the pickled CPPse-index is a flat forest per block
 #: (``CPPseIndex.forests``) — version-2 payloads pickle node/entry classes
 #: that no longer exist.
-SNAPSHOT_FORMAT_VERSION = 3
+#: Version 4: the facades no longer pickle shadow copies of the serving
+#: axes (scoring, dedup mode, result-cache switch) — ``config`` is the
+#: one record.  A version-3 payload would unpickle with the shadows as
+#: dead attributes and a config that never heard of a post-fit retune,
+#: so it is rejected rather than served differently.
+SNAPSHOT_FORMAT_VERSION = 4
 MANIFEST_NAME = "manifest.json"
 STATE_NAME = "state.pkl"
 

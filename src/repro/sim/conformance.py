@@ -16,9 +16,9 @@ Each plan's construction, serving mode and judge derive from its axes:
   served per item *and* per batch each window;
 - *batching* picks the served entry point for local plans (per-item
   ``recommend`` vs micro-batched ``recommend_batch``);
-- *cached* plans serve through their plan-level result cache
-  (:mod:`repro.exec.cache`) and must reproduce their uncached anchor
-  **bit for bit** — a cache hit that moves a single bit is a divergence;
+- *dedup* plans serve through the memo stage (:mod:`repro.exec.dedup`,
+  exact mode) and must reproduce their dedup-off anchor **bit for bit**
+  — a collapse that moves a single bit is a divergence;
 - the *judge* is the plan's ``anchor``: anchored plans must match the
   anchor's per-item results bitwise; anchor plans (``anchor=None``) are
   judged against the independent naive oracle within the 1e-9 tie
@@ -311,13 +311,24 @@ class ConformanceRunner:
 
         A newly registered plan needs no code here: placement decides
         local vs sharded construction, the candidate source whether an
-        index is attached (or shard-local indexes built), ``cached``
-        whether the replica serves through its result cache.
+        index is attached (or shard-local indexes built), and one
+        ``configure`` call sets the scoring and memo-stage axes.
         """
         states: dict[str, _PathState] = {}
         for name in self.paths:
             plan = PLAN_REGISTRY.get(name)
-            replica = copy.deepcopy(template)
+            # Scoring and the memo stage are config axes, set before
+            # placement so shards and wire servers are built already
+            # configured.  The *-native plans are judged whether the
+            # fused kernels or their bit-identical vectorized fallback
+            # serve (which is what keeps the fallback honest); exact
+            # *-dedup plans must reproduce the anchor bit for bit, while
+            # approx ones would only document their divergence — they
+            # are gated by bench_dedup's recall and stay out of the
+            # catalog.
+            replica = copy.deepcopy(template).configure(
+                scoring=plan.scoring, dedup=plan.dedup
+            )
             if plan.is_sharded:
                 # A "sequential" placement is passed as the default (None)
                 # so the legacy workers>1 thread upgrade keeps applying.
@@ -342,21 +353,6 @@ class ConformanceRunner:
                 if plan.uses_index:
                     replica.attach_index()
                 recommender = replica
-            if plan.scoring == "native" and not plan.is_wire:
-                # The *-native plans: same replica, fused-kernel serving
-                # (or its bit-identical vectorized fallback when the
-                # compiled kernels are unavailable — the plan is judged
-                # either way, which is what keeps the fallback honest).
-                recommender.set_scoring("native")
-            if plan.cached:
-                recommender.enable_result_cache()
-            if plan.dedup != "off":
-                # The *-dedup plans: exact mode must reproduce the anchor
-                # bit for bit (a collapse is provably the same query);
-                # replaying approx plans here would just document their
-                # divergence — they are gated by bench_dedup's recall
-                # instead and stay out of the catalog.
-                recommender.set_dedup(plan.dedup)
             states[name] = _PathState(name, plan, recommender)
         return states
 

@@ -476,8 +476,8 @@ class ScenarioGenerator:
         Redelivered uploads are full stream events: every serving path
         observes *and serves* them again, exactly as an at-least-once
         transport would hand them over — the duplicate-heavy serving
-        surface the ``*-cached`` plans are benchmarked on
-        (``benchmarks/bench_result_cache.py``).
+        surface the exact ``*-dedup`` plans are benchmarked on
+        (``benchmarks/bench_dedup.py``).
         """
         duplicated: list[StreamEvent] = []
         for event in events:

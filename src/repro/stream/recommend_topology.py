@@ -104,7 +104,7 @@ class MatchBolt(Bolt):
         item: SocialItem = tup["item"]
         # Resolved per tuple (plan-aware facades cache their compiled
         # plan, so this is an attribute lookup): a facade reconfigured
-        # mid-topology — attach_index(), enable_result_cache() — serves
+        # mid-topology — attach_index(), configure(...) — serves
         # the next tuple through its new plan, matching the old per-call
         # recommend() delegation.
         ranked = as_executor(self._recommender).run_item(item, self._k)

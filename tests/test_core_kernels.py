@@ -200,9 +200,9 @@ class TestAvailabilityGate:
 # Fallback serving: native plan, kernels unavailable
 # ----------------------------------------------------------------------
 class TestFallbackServing:
-    def test_set_scoring_rejects_unknown_backend(self, fresh_ssrec):
+    def test_configure_rejects_unknown_backend(self, fresh_ssrec):
         with pytest.raises(ValueError, match="scoring"):
-            fresh_ssrec.set_scoring("gpu")
+            fresh_ssrec.configure(scoring="gpu")
 
     def test_fallback_is_bit_identical_and_counted(
         self, fresh_ssrec, ytube_small, monkeypatch
@@ -213,7 +213,7 @@ class TestFallbackServing:
         expected_item = fresh_ssrec.recommend(items[0], 10)
         expected_batch = fresh_ssrec.recommend_batch(items, 10)
 
-        fresh_ssrec.set_scoring("native")
+        fresh_ssrec.configure(scoring="native")
         with pytest.warns(RuntimeWarning, match="vectorized path"):
             got_item = fresh_ssrec.recommend(items[0], 10)
         assert got_item == expected_item  # bit-identical, not just close
@@ -224,7 +224,7 @@ class TestFallbackServing:
     def test_fallback_plan_compiles_vectorized_ops(self, fresh_ssrec, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
         kernels._reset_native_state()
-        fresh_ssrec.set_scoring("native")
+        fresh_ssrec.configure(scoring="native")
         with pytest.warns(RuntimeWarning):
             compiled = fresh_ssrec.executor()
         assert compiled.plan.name == "scan-item-native"
@@ -293,32 +293,32 @@ class TestForcedNativeServing:
         monkeypatch.setattr(kernels, "_ready", True)
 
     def test_scan_plan_compiles_native_ops(self, fresh_ssrec, ytube_small):
-        fresh_ssrec.set_scoring("native")
+        fresh_ssrec.configure(scoring="native")
         compiled = fresh_ssrec.executor()
         assert compiled.plan.name == "scan-item-native"
         op_types = [type(op) for op in compiled.ops]
         assert NativeTopKOp in op_types
         assert PreRankedSelectOp in op_types
-        vectorized = fresh_ssrec.set_scoring("vectorized").recommend(
+        vectorized = fresh_ssrec.configure(scoring="vectorized").recommend(
             ytube_small.items[0], 10
         )
-        native = fresh_ssrec.set_scoring("native").recommend(ytube_small.items[0], 10)
+        native = fresh_ssrec.configure(scoring="native").recommend(ytube_small.items[0], 10)
         _assert_same_ranking(native, vectorized)
 
     def test_index_plan_compiles_native_ops(self, fresh_ssrec_indexed, ytube_small):
         rec = fresh_ssrec_indexed
-        rec.set_scoring("native")
+        rec.configure(scoring="native")
         compiled = rec.executor()
         assert compiled.plan.name == "index-item-native"
         assert NativeCppseKnnOp in [type(op) for op in compiled.ops]
         items = ytube_small.items[:5]
-        vectorized = rec.set_scoring("vectorized").recommend_batch(items, 10)
-        native = rec.set_scoring("native").recommend_batch(items, 10)
+        vectorized = rec.configure(scoring="vectorized").recommend_batch(items, 10)
+        native = rec.configure(scoring="native").recommend_batch(items, 10)
         for g, w in zip(native, vectorized):
             _assert_same_ranking(g, w)
 
     def test_no_fallback_recorded_when_ready(self, fresh_ssrec, ytube_small):
         before = kernels.fallback_count()
-        fresh_ssrec.set_scoring("native")
+        fresh_ssrec.configure(scoring="native")
         fresh_ssrec.recommend(ytube_small.items[0], 5)
         assert kernels.fallback_count() == before

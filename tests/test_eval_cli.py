@@ -156,17 +156,17 @@ class TestDispatch:
     def test_all_experiments_covered(self):
         assert set(ALL_EXPERIMENTS) == {
             "table2", "table3", "fig5", "fig6", "fig7", "fig8", "fig9",
-            "fig10", "fig11", "batch", "sharded", "cache", "dedup",
+            "fig10", "fig11", "batch", "sharded", "dedup",
             "conformance", "serve", "loadgen",
         }
 
-    def test_cache_dispatch(self, monkeypatch, capsys, fake_datasets):
-        datasets, _ = fake_datasets
-        recorder = _Recorder()
-        monkeypatch.setattr(ex, "run_result_cache", recorder)
-        assert main(["cache", "--dataset", "MLens", "--seed", "11"]) == 0
-        assert recorder.kwargs["base"] is datasets["MLens"]
-        assert recorder.kwargs["seed"] == 11
+    def test_cache_experiment_is_gone(self, capsys):
+        """One memo stage, one experiment: ``dedup`` measures it; the
+        separate result-cache experiment no longer parses."""
+        with pytest.raises(SystemExit):
+            main(["cache"])
+        assert "invalid choice" in capsys.readouterr().err
+        assert not hasattr(ex, "run_result_cache")
 
     def test_dedup_dispatch(self, monkeypatch, capsys, fake_datasets):
         datasets, _ = fake_datasets
@@ -226,9 +226,9 @@ class TestConformanceCommand:
         recorder = _Recorder()
         monkeypatch.setattr(ex, "run_conformance", recorder)
         assert (
-            main(["conformance", "--paths", "scan-item,index-batch-cached"]) == 0
+            main(["conformance", "--paths", "scan-item,index-batch-dedup"]) == 0
         )
-        assert recorder.kwargs["paths"] == ["scan-item", "index-batch-cached"]
+        assert recorder.kwargs["paths"] == ["scan-item", "index-batch-dedup"]
 
     def test_default_paths_is_full_registry(self, monkeypatch, capsys):
         recorder = _Recorder()

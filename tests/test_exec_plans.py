@@ -70,12 +70,16 @@ class TestRegistry:
         for expected in (
             "scan-item", "scan-batch", "index-item", "index-batch",
             "sharded-scan-hash", "sharded-index-block", "sharded-scan-process",
-            "oracle-item", "scan-item-cached", "scan-batch-cached",
-            "index-item-cached", "index-batch-cached", "sharded-scan-hash-cached",
+            "oracle-item", "scan-item-dedup", "scan-batch-dedup",
+            "index-item-dedup", "index-batch-dedup", "sharded-scan-hash-dedup",
             "scan-item-native", "scan-batch-native", "index-item-native",
             "index-batch-native",
         ):
             assert expected in names
+        # One memo stage: the *-cached family is gone, not renamed.
+        assert not any("cached" in name for name in names)
+        assert len(PLAN_REGISTRY) == 22
+        assert len(CONFORMANCE_PATHS) == 20
 
     def test_native_family_anchored_within_ties(self):
         for name in ("scan-item-native", "scan-batch-native",
@@ -98,12 +102,13 @@ class TestRegistry:
             if plan.anchor is not None:
                 assert order[plan.anchor] < order[name]
 
-    def test_cached_variants_anchor_to_uncached_anchors(self):
+    def test_dedup_variants_anchor_to_dedup_off_anchors(self):
         for name in CONFORMANCE_PATHS:
             plan = PLAN_REGISTRY.get(name)
-            if plan.cached:
+            if plan.dedup != "off":
+                assert plan.dedup == "exact"  # approx is gated by recall
                 anchor = PLAN_REGISTRY.get(plan.anchor)
-                assert not anchor.cached
+                assert anchor.dedup == "off"
                 assert anchor.anchor is None
 
     def test_get_unknown_raises(self):
@@ -170,13 +175,36 @@ class TestForConfig:
             == "scan-batch"
         )
 
-    def test_cached_from_config_field(self):
-        config = SsRecConfig(result_cache=True)
-        assert PLAN_REGISTRY.for_config(config, use_index=False).name == "scan-item-cached"
-        # The explicit argument overrides the config field.
+    def test_result_cache_is_a_spelling_of_exact_dedup(self):
+        """Six memo configurations, three plans: ``result_cache`` asks for
+        the exact memo when ``dedup`` is off and is otherwise a no-op."""
+        for result_cache in (False, True):
+            for dedup, want in (("exact", "scan-item-dedup"),
+                                ("approx", "scan-item-dedup-approx")):
+                config = SsRecConfig(result_cache=result_cache, dedup=dedup)
+                assert PLAN_REGISTRY.for_config(config, use_index=False).name == want
         assert (
-            PLAN_REGISTRY.for_config(config, use_index=False, cached=False).name
+            PLAN_REGISTRY.for_config(SsRecConfig(result_cache=True), use_index=False).name
+            == "scan-item-dedup"
+        )
+        assert PLAN_REGISTRY.for_config(SsRecConfig(), use_index=False).name == "scan-item"
+
+    def test_placement_pin_overrides_config_shape(self):
+        """The facades pin their live placement; the config's deployment
+        shape only applies when nothing is pinned."""
+        sharded = SsRecConfig(n_shards=3, shard_strategy="hash")
+        assert (
+            PLAN_REGISTRY.for_config(
+                sharded, use_index=False, placement=Placement.local()
+            ).name
             == "scan-item"
+        )
+        assert (
+            PLAN_REGISTRY.for_config(
+                SsRecConfig(), use_index=False,
+                placement=Placement.sharded("hash", "shmem"),
+            ).name
+            == "sharded-scan-shmem"
         )
 
     def test_sharded_from_config(self):

@@ -15,7 +15,7 @@ from repro.datasets.partitions import partition_interactions
 from repro.datasets.synthpop import SynthpopSynthesizer
 from repro.core.config import SsRecConfig
 from repro.exec import PLAN_REGISTRY
-from repro.exec.cache import ResultCache
+from repro.exec.dedup import DedupState
 from repro.index.hashing import ChainedHashTable
 from repro.index.signature import BlockUniverse, QuerySignature
 from repro.serve.sharding import merge_top_k
@@ -284,12 +284,12 @@ class TestPlanRegistryRoundTrip:
         assert derived.axes() == plan.axes()
 
 
-class TestResultCacheEpochInvalidation:
-    """Cache hits never survive an epoch bump: whatever sequence of
+class TestMemoEpochInvalidation:
+    """Memo hits never survive an epoch bump: whatever sequence of
     stores and epoch advances happens, a key minted at the current epoch
     can only hit entries stored at that same epoch — the invariant that
     makes Algorithm-2 maintenance flushes (and profile updates, which
-    both bump the facade epoch) wipe the cached plans' memo."""
+    both bump the facade epoch) wipe the ``*-dedup`` plans' memo."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -301,10 +301,10 @@ class TestResultCacheEpochInvalidation:
             min_size=1,
             max_size=40,
         ),
-        st.integers(min_value=1, max_value=8),           # cache capacity
+        st.integers(min_value=1, max_value=8),           # memo capacity
     )
     def test_hits_never_survive_a_flush(self, events, capacity):
-        cache = ResultCache(max_entries=capacity)
+        memo = DedupState("exact", max_groups=capacity)
         epoch = 0
         stored_epoch: dict[int, int] = {}  # item id -> epoch last stored at
         for item_id, flush in events:
@@ -312,31 +312,31 @@ class TestResultCacheEpochInvalidation:
                 item_id=item_id, category=0, producer=0,
                 entities=(1,), text="", timestamp=0.0,
             )
-            key = cache.key(item, 5, epoch)
-            hit = cache.lookup(key)
+            key = memo.exact_key(item, ((item_id, 1.0),), 5, epoch)
+            hit = memo.lookup_exact(key)
             if hit is not None:
                 # A hit is only legal when the entry was stored in the
                 # *current* epoch, i.e. no flush intervened.
                 assert stored_epoch.get(item_id) == epoch
                 assert hit == [(item_id, 0.0)]
             else:
-                cache.store(key, [(item_id, 0.0)])
+                memo.store_exact(key, [(item_id, 0.0)])
                 stored_epoch[item_id] = epoch
             if flush:
                 epoch += 1  # what run_maintenance()/update() do
 
     def test_facade_flush_invalidates_end_to_end(self, fresh_ssrec_indexed, ytube_small):
         """The non-randomized end of the same contract, through the real
-        facade: a maintenance flush orphans every cached entry."""
-        rec = fresh_ssrec_indexed.enable_result_cache()
+        facade: a maintenance flush orphans every memoized entry."""
+        rec = fresh_ssrec_indexed.configure(result_cache=True)
         item = ytube_small.items[0]
         rec.recommend(item, 5)
         rec.recommend(item, 5)
-        assert rec.result_cache_stats()["hits"] == 1
+        assert rec.stats()["dedup"]["collapsed"] == 1
         rec.run_maintenance()
         rec.recommend(item, 5)
-        assert rec.result_cache_stats()["hits"] == 1  # no new hit after flush
-        assert rec.result_cache_stats()["misses"] == 2
+        assert rec.stats()["dedup"]["collapsed"] == 1  # no new hit after flush
+        assert rec.stats()["dedup"]["groups"] == 2
 
 
 _SHMEM_DTYPES = st.sampled_from(

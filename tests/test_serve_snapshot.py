@@ -97,6 +97,33 @@ class TestShardedRoundTrip:
             rec.recommend(it, 5) for it in items
         ]
 
+    def test_configured_axes_survive_round_trip(self, ytube_small, ytube_stream, tmp_path):
+        """``config`` is the one record of the serving axes: what
+        ``configure`` set after fit is what the manifest documents and
+        what both facades serve with after a load."""
+        rec = _fresh(ytube_small, ytube_stream, False)
+        rec.configure(dedup="approx", dedup_threshold=0.75, result_cache_size=17)
+        rec.save(tmp_path / "local")
+        manifest = read_manifest(tmp_path / "local")
+        assert manifest["config"]["dedup_threshold"] == 0.75
+        restored = SsRecRecommender.load(tmp_path / "local")
+        assert restored.config == rec.config
+        assert restored.executor().plan.name == "scan-item-dedup-approx"
+        state = restored.executor().dedup_state
+        assert state.threshold == 0.75 and state.max_groups == 17
+
+        service = ShardedRecommender.from_trained(rec, n_shards=2, strategy="hash")
+        service.configure(dedup="exact", scoring="native")
+        service.save(tmp_path / "sharded")
+        assert read_manifest(tmp_path / "sharded")["config"]["dedup"] == "exact"
+        reloaded = ShardedRecommender.load(tmp_path / "sharded")
+        assert reloaded.config == service.config
+        assert reloaded.config.dedup == "exact" and reloaded.config.scoring == "native"
+        assert reloaded.executor().plan.name == service.executor().plan.name
+        assert all(shard._scoring == "native" for shard in reloaded.shards)
+        # The single-node view of the same snapshot serves the same way.
+        assert SsRecRecommender.load(tmp_path / "sharded").config == service.config
+
     def test_load_overrides_workers(self, ytube_small, ytube_stream, tmp_path):
         trained = _fresh(ytube_small, ytube_stream, False)
         service = ShardedRecommender.from_trained(trained, n_shards=2)
@@ -120,7 +147,9 @@ class TestManifest:
         with pytest.raises(SnapshotError, match="manifest"):
             read_manifest(tmp_path / "nowhere")
 
-    @pytest.mark.parametrize("version", [2, 999])  # 2: the object-tree index era
+    # 2: the object-tree index era; 3: facades pickled shadow copies of
+    # the serving axes beside config.
+    @pytest.mark.parametrize("version", [2, 3, 999])
     def test_unsupported_version(self, ytube_small, ytube_stream, tmp_path, version):
         rec = _fresh(ytube_small, ytube_stream, False)
         save_snapshot(rec, tmp_path / "snap")

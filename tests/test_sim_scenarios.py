@@ -96,7 +96,7 @@ class TestStreamIntegrity:
     def test_upload_ids_unique_except_redelivery(self, catalog):
         """Uploads are delivered exactly once — except in the scenarios
         whose at-least-once transport redelivers uploads on purpose:
-        duplicate/out-of-order (the cached plans' bench surface) and the
+        duplicate/out-of-order (the exact memo's bench surface) and the
         mutated-retry / cross-producer-repost pair (the dedup stage's,
         which mix exact redeliveries with fresh-id near-duplicates)."""
         redelivering = {
