@@ -14,7 +14,7 @@ cannot remove.
 
 import os
 
-from repro.eval import experiments as ex
+from repro.eval import systems
 
 #: CI smoke runs set this to shrink the measured slice.
 MAX_ITEMS = int(os.environ.get("REPRO_BENCH_BATCH_ITEMS", "512"))
@@ -24,7 +24,7 @@ BATCH_SIZES = (1, 16, 64)
 
 def test_batch_throughput(bench_run, efficiency_datasets, save_result):
     result, seconds = bench_run(
-        lambda: ex.run_batch_throughput(
+        lambda: systems.run_batch_throughput(
             efficiency_datasets["YTube"],
             batch_sizes=BATCH_SIZES,
             k=30,

@@ -18,7 +18,7 @@ Two assertions, both regression backstops for serving-path work:
 
 import os
 
-from repro.eval import experiments as ex
+from repro.eval import systems
 
 #: CI smoke runs set these to shrink the replayed stream / catalog.
 MAX_EVENTS = int(os.environ.get("REPRO_BENCH_CONFORMANCE_EVENTS", "500"))
@@ -28,7 +28,7 @@ SCENARIOS = tuple(name for name in _names.split(",") if name) or None
 
 def test_conformance(bench_run, bench_seed, save_result):
     result, seconds = bench_run(
-        lambda: ex.run_conformance(
+        lambda: systems.run_conformance(
             scenarios=SCENARIOS,
             seed=bench_seed,
             max_events=MAX_EVENTS,

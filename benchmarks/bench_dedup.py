@@ -35,7 +35,7 @@ Assertions:
 import os
 
 from conftest import SCALE
-from repro.eval import experiments as ex
+from repro.eval import systems
 
 #: CI smoke runs set this to shrink the replayed stream.
 MAX_EVENTS = int(os.environ.get("REPRO_BENCH_DEDUP_EVENTS", "4800"))
@@ -51,14 +51,14 @@ MIN_RECALL = 0.95
 def test_dedup(bench_run, bench_seed, save_result, efficiency_datasets):
     (exact_run, approx_run), seconds = bench_run(
         lambda: (
-            ex.run_dedup(
+            systems.run_dedup(
                 base=efficiency_datasets["YTube"],
                 scenario="duplicate_out_of_order",
                 seed=bench_seed,
                 max_events=MAX_EVENTS,
                 taus=(0.6,),
             ),
-            ex.run_dedup(
+            systems.run_dedup(
                 base=efficiency_datasets["YTube"],
                 scenario="mutated_retry",
                 seed=bench_seed,
@@ -69,17 +69,16 @@ def test_dedup(bench_run, bench_seed, save_result, efficiency_datasets):
     metrics = {
         "driver": {"seconds": seconds},
         "anchor": {
-            "items_per_sec": exact_run.anchor_items_per_sec,
-            "seconds": exact_run.anchor_seconds,
+            "items_per_sec": exact_run.items_per_sec("anchor"),
+            "seconds": exact_run.seconds["anchor"],
         },
         "exact": {
-            "items_per_sec": exact_run.exact_items_per_sec,
-            "seconds": exact_run.exact_seconds,
+            "items_per_sec": exact_run.items_per_sec("exact"),
+            "seconds": exact_run.seconds["exact"],
         },
     }
     checks = {
-        "exact_parity_ok": exact_run.exact_parity_ok
-        and approx_run.exact_parity_ok,
+        "exact_parity_ok": exact_run.parity_ok and approx_run.parity_ok,
         "exact_speedup": exact_run.exact_speedup,
         "exact_collapse_rate": exact_run.exact_collapse_rate,
         "approx_default_recall": approx_run.default_recall,
@@ -89,20 +88,20 @@ def test_dedup(bench_run, bench_seed, save_result, efficiency_datasets):
     extras = {
         "exact_stats": exact_run.exact_stats,
         "approx_sweep": [
-            {"tau": row["tau"], "recall": row["recall"], "stats": row["stats"]}
-            for row in approx_run.approx
+            {"tau": tau, "recall": row["recall"], "stats": row["stats"]}
+            for tau, row in approx_run.approx.items()
         ],
         "scale": SCALE,
     }
     text = exact_run.to_text() + "\n" + approx_run.to_text()
     save_result("dedup", text, metrics=metrics, checks=checks, extras=extras)
     # Exact mode is bit-identical or it is nothing — in both runs.
-    assert exact_run.exact_parity_ok, exact_run.to_text()
-    assert approx_run.exact_parity_ok, approx_run.to_text()
+    assert exact_run.parity_ok, exact_run.to_text()
+    assert approx_run.parity_ok, approx_run.to_text()
     # Both scenarios must actually produce collapses to measure.
     assert exact_run.exact_stats.get("collapsed", 0) > 0, exact_run.to_text()
     assert exact_run.exact_collapse_rate >= 0.25, exact_run.to_text()
-    default_row = approx_run.approx_at(approx_run.default_tau)
+    default_row = approx_run.approx.get(approx_run.default_tau)
     assert default_row is not None, approx_run.to_text()
     assert default_row["stats"].get("collapsed", 0) > 0, approx_run.to_text()
     # The headline: >=1.3x items/sec over the dedup-off anchor.

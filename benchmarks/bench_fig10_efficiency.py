@@ -9,17 +9,17 @@ diversity-based matching").
 
 import pytest
 
-from repro.eval import experiments as ex
+from repro.eval import figures
 
 
 @pytest.mark.parametrize("name", ["YTube", "SynYTube", "MLens", "SynMLens"])
 def test_fig10_response_time(bench_run, efficiency_datasets, save_result, name):
     result, seconds = bench_run(
-        lambda: ex.run_fig10(
+        lambda: figures.run_fig10(
             efficiency_datasets[name], k=30, max_items_per_partition=25, min_truth=2
         )
     )
-    final = {method: series[4] for method, series in result.time_ms.items()}
+    final = {method: series[4] for method, series in result.series.items()}
     # Per-method throughput (items/sec from the accumulated mean per-item
     # ms) is the comparable metric; the full cumulative series rides in
     # extras for trajectory plots.
@@ -34,7 +34,7 @@ def test_fig10_response_time(bench_run, efficiency_datasets, save_result, name):
         extras={
             "time_ms": {
                 method: {str(n): v for n, v in series.items()}
-                for method, series in result.time_ms.items()
+                for method, series in result.series.items()
             }
         },
     )

@@ -9,13 +9,13 @@ the producers as well".
 
 import pytest
 
-from repro.eval import experiments as ex
+from repro.eval import figures
 
 
 @pytest.mark.parametrize("name", ["YTube", "SynYTube", "MLens", "SynMLens"])
 def test_fig5_bihmm_vs_hmm(bench_run, datasets, save_result, name):
     result, seconds = bench_run(
-        lambda: ex.run_fig5(
+        lambda: figures.run_fig5(
             datasets[name], max_users=16, max_states=4, min_history=25
         )
     )

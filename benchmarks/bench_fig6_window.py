@@ -10,21 +10,21 @@ short-term interest may fall back to the long-term interest".
 import pytest
 
 from conftest import MIN_TRUTH
-from repro.eval import experiments as ex
+from repro.eval import figures
 
 
 @pytest.mark.parametrize("name", ["YTube", "SynYTube", "MLens", "SynMLens"])
 def test_fig6_window_size(bench_run, datasets, save_result, name):
     windows = tuple(range(1, 11))
     result, seconds = bench_run(
-        lambda: ex.run_fig6(
+        lambda: figures.run_fig6(
             datasets[name],
             window_sizes=windows,
             ks=(5, 10, 20, 30),
             min_truth=MIN_TRUTH,
         )
     )
-    p5 = {w: result.precision[w][5] for w in windows}
+    p5 = {w: result.series[w][5] for w in windows}
     save_result(
         f"fig6_{name.lower()}",
         result.to_text(),

@@ -10,7 +10,7 @@ of lambda_s, reaches an optimal point, and then decreases"; pure short-term
 import pytest
 
 from conftest import MIN_TRUTH
-from repro.eval import experiments as ex
+from repro.eval import figures
 
 LAMBDAS = tuple(round(0.1 * i, 1) for i in range(11))
 
@@ -18,11 +18,11 @@ LAMBDAS = tuple(round(0.1 * i, 1) for i in range(11))
 @pytest.mark.parametrize("name", ["YTube", "SynYTube", "MLens", "SynMLens"])
 def test_fig7_lambda_weight(bench_run, datasets, save_result, name):
     result, seconds = bench_run(
-        lambda: ex.run_fig7(
+        lambda: figures.run_fig7(
             datasets[name], lambdas=LAMBDAS, ks=(5, 10, 20, 30), min_truth=MIN_TRUTH
         )
     )
-    p5 = {lam: result.precision[lam][5] for lam in LAMBDAS}
+    p5 = {lam: result.series[lam][5] for lam in LAMBDAS}
     optimum = result.optimal_lambda(5)
     save_result(
         f"fig7_{name.lower()}",

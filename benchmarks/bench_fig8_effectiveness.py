@@ -9,7 +9,7 @@ considered methods".
 import pytest
 
 from conftest import MIN_TRUTH
-from repro.eval import experiments as ex
+from repro.eval import figures
 
 KS = (5, 10, 20, 30)
 
@@ -17,9 +17,9 @@ KS = (5, 10, 20, 30)
 @pytest.mark.parametrize("name", ["YTube", "SynYTube", "MLens", "SynMLens"])
 def test_fig8_effectiveness_comparison(bench_run, datasets, save_result, name):
     result, seconds = bench_run(
-        lambda: ex.run_fig8(datasets[name], ks=KS, min_truth=MIN_TRUTH)
+        lambda: figures.run_fig8(datasets[name], ks=KS, min_truth=MIN_TRUTH)
     )
-    p = result.precision
+    p = result.series
     save_result(
         f"fig8_{name.lower()}",
         result.to_text(),

@@ -8,7 +8,7 @@ against the static setting (training-time profiles frozen).  Expected shape:
 import pytest
 
 from conftest import MIN_TRUTH
-from repro.eval import experiments as ex
+from repro.eval import figures
 
 KS = (5, 10, 20, 30)
 
@@ -16,9 +16,9 @@ KS = (5, 10, 20, 30)
 @pytest.mark.parametrize("name", ["YTube", "SynYTube", "MLens", "SynMLens"])
 def test_fig9_profile_updates(bench_run, datasets, save_result, name):
     result, seconds = bench_run(
-        lambda: ex.run_fig9(datasets[name], ks=KS, min_truth=MIN_TRUTH)
+        lambda: figures.run_fig9(datasets[name], ks=KS, min_truth=MIN_TRUTH)
     )
-    p = result.precision
+    p = result.series
     save_result(
         f"fig9_{name.lower()}",
         result.to_text(),

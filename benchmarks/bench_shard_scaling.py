@@ -28,7 +28,7 @@ the sequential index path's latency percentiles.
 
 import os
 
-from repro.eval import experiments as ex
+from repro.eval import systems
 
 #: CI smoke runs set these to shrink the measured slice.
 MAX_ITEMS = int(os.environ.get("REPRO_BENCH_SHARD_ITEMS", "256"))
@@ -46,7 +46,7 @@ BACKENDS = tuple(
 
 def test_shard_scaling(bench_run, efficiency_datasets, save_result):
     result, seconds = bench_run(
-        lambda: ex.run_sharded_throughput(
+        lambda: systems.run_sharded_throughput(
             efficiency_datasets["YTube"],
             shard_counts=SHARD_COUNTS,
             k=30,
@@ -63,9 +63,7 @@ def test_shard_scaling(bench_run, efficiency_datasets, save_result):
             metrics[f"{path}[shards={n}]"] = {"items_per_sec": ips}
     # Latency percentiles belong to the first swept backend's index-item
     # path (that is what run_sharded_throughput records them for).
-    latency_path = "sharded-index-item" + (
-        "" if BACKENDS[0] == "sequential" else f"@{BACKENDS[0]}"
-    )
+    latency_path = systems.shard_path_key("index", "item", BACKENDS[0])
     for n, summary in result.latency_ms.items():
         metrics[f"{latency_path}[shards={n}]"]["latency_ms"] = summary
     checks = {"parity_ok": result.parity_ok}

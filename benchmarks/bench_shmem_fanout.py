@@ -21,8 +21,8 @@ assertion — not a cross-machine diff — enforces the speedup.
 
 import os
 
-from repro.eval import experiments as ex
-from repro.eval.experiments import _shard_path_key
+from repro.eval import systems
+from repro.eval.systems import shard_path_key
 
 #: CI smoke runs set these to shrink the measured slice.
 MAX_ITEMS = int(os.environ.get("REPRO_BENCH_SHMEM_ITEMS", "192"))
@@ -36,7 +36,7 @@ MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_SHMEM_MIN_SPEEDUP", "1.5"))
 
 def test_shmem_fanout(bench_run, efficiency_datasets, save_result):
     result, seconds = bench_run(
-        lambda: ex.run_sharded_throughput(
+        lambda: systems.run_sharded_throughput(
             efficiency_datasets["YTube"],
             shard_counts=SHARD_COUNTS,
             k=30,
@@ -54,8 +54,8 @@ def test_shmem_fanout(bench_run, efficiency_datasets, save_result):
     ratios = {}
     for mode in ("scan", "index"):
         for serve in ("item", "batch"):
-            sequential = result.items_per_sec[_shard_path_key(mode, serve, "sequential")]
-            shmem = result.items_per_sec[_shard_path_key(mode, serve, "shmem")]
+            sequential = result.items_per_sec[shard_path_key(mode, serve, "sequential")]
+            shmem = result.items_per_sec[shard_path_key(mode, serve, "shmem")]
             for n, ips in sequential.items():
                 metrics[f"sharded-{mode}-{serve}[shards={n}]"] = {"items_per_sec": ips}
             extras[f"sharded-{mode}-{serve}@shmem"] = {

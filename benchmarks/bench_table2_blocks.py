@@ -7,12 +7,12 @@ flatten — "applying user blocking reduces the entry size in a tree by
 large".
 """
 
-from repro.eval import experiments as ex
+from repro.eval import figures
 
 
 def test_table2_signature_size_factors(bench_run, sparse_ytube, save_result):
     result, seconds = bench_run(
-        lambda: ex.run_table2(sparse_ytube, block_counts=(1, 10, 20, 30, 40, 50))
+        lambda: figures.run_table2(sparse_ytube, block_counts=(1, 10, 20, 30, 40, 50))
     )
     save_result(
         "table2",

@@ -6,11 +6,11 @@ matches its source's universes with a slightly different interaction count
 (the paper's SynYTube has ~6% more interactions than YTube).
 """
 
-from repro.eval import experiments as ex
+from repro.eval import figures
 
 
 def test_table3_dataset_overview(bench_run, datasets, save_result):
-    result, seconds = bench_run(lambda: ex.run_table3(datasets))
+    result, seconds = bench_run(lambda: figures.run_table3(datasets))
     save_result(
         "table3",
         result.to_text(),

@@ -26,7 +26,7 @@ import pytest
 
 from repro.bench import BenchResult
 from repro.datasets.ytube import YTubeConfig, generate_ytube
-from repro.eval import experiments as ex
+from repro.eval import figures
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "small")
 SEED = int(os.environ.get("REPRO_BENCH_SEED", "7"))
@@ -46,7 +46,7 @@ def bench_seed():
 @pytest.fixture(scope="session")
 def datasets():
     """The paper's four datasets (Table III) at the configured scale."""
-    return ex.make_datasets(SCALE, seed=SEED)
+    return figures.make_datasets(SCALE, seed=SEED)
 
 
 @pytest.fixture(scope="session")
@@ -65,7 +65,7 @@ def efficiency_datasets():
     benches run ``small``.
     """
     scale = "default" if SCALE == "small" else SCALE
-    return ex.make_datasets(scale, seed=SEED)
+    return figures.make_datasets(scale, seed=SEED)
 
 
 @pytest.fixture

@@ -14,8 +14,7 @@ import time
 
 from repro import SsRecRecommender, YTubeConfig, generate_ytube, partition_interactions
 from repro.baselines.knn_scan import NaiveScanRecommender
-from repro.stream.engine import LocalEngine
-from repro.stream.recommend_topology import build_recommendation_topology
+from repro.stream import LocalEngine, build_recommendation_topology
 
 
 def main() -> None:

@@ -6,8 +6,11 @@
   partitions item-by-item with interleaved profile updates, judging hits
   against the partition's ground-truth interactions; includes the
   decomposed-score lambda sweep that makes Figs. 6-7 cheap.
-- :mod:`repro.eval.experiments` — one driver per table/figure (Table II,
+- :mod:`repro.eval.figures` — one driver per table/figure (Table II-III,
   Figs. 5-11), each returning a structured result.
+- :mod:`repro.eval.systems` — the serving-stack drivers beyond the paper
+  (throughput, sharding, dedup, kernels, the wire, conformance), built on
+  :mod:`repro.eval.serving`'s one timed-arms protocol.
 - :mod:`repro.eval.reporting` — plain-text tables matching the paper's
   rows/series.
 """
@@ -19,7 +22,7 @@ from repro.eval.metrics import (
     precision_at_k,
 )
 from repro.eval.harness import EvalOutcome, StreamEvaluator
-from repro.eval import experiments
+from repro.eval import figures, systems
 from repro.eval.reporting import format_table, format_series
 
 __all__ = [
@@ -29,7 +32,8 @@ __all__ = [
     "precision_at_k",
     "EvalOutcome",
     "StreamEvaluator",
-    "experiments",
+    "figures",
+    "systems",
     "format_table",
     "format_series",
 ]

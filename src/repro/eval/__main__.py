@@ -52,7 +52,7 @@ import sys
 import time
 
 from repro.datasets.ytube import YTubeConfig, generate_ytube
-from repro.eval import experiments as ex
+from repro.eval import figures, systems
 
 SINGLE_DATASET_EXPERIMENTS = {
     "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "batch", "sharded", "dedup",
@@ -201,22 +201,42 @@ def _write_obs_dump(path: str, reports) -> None:
     print(f"server metrics dump written to {path}")
 
 
+def _figure_drivers(args) -> dict:
+    """Single-dataset subcommand -> ``driver(dataset)``.  One --seed drives
+    both the dataset generators and the model initialization inside every
+    driver — a run is reproducible from the command line alone."""
+    judged = {"min_truth": args.min_truth, "seed": args.seed}
+    return {
+        "fig5": lambda ds: figures.run_fig5(
+            ds, max_users=16, max_states=4, min_history=25, seed=args.seed
+        ),
+        "fig6": lambda ds: figures.run_fig6(ds, **judged),
+        "fig7": lambda ds: figures.run_fig7(ds, **judged),
+        "fig8": lambda ds: figures.run_fig8(ds, **judged),
+        "fig9": lambda ds: figures.run_fig9(ds, **judged),
+        "fig10": lambda ds: figures.run_fig10(ds, min_truth=2, seed=args.seed),
+        "batch": lambda ds: systems.run_batch_throughput(ds, seed=args.seed),
+        "sharded": lambda ds: systems.run_sharded_throughput(ds, seed=args.seed),
+        "dedup": lambda ds: systems.run_dedup(base=ds, seed=args.seed),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    names = args.scenarios.split(",") if args.scenarios else None
     if args.experiment == "table2":
         dataset = generate_ytube(YTubeConfig.sparse(seed=args.seed))
-        print(ex.run_table2(dataset).to_text())
+        print(figures.run_table2(dataset).to_text())
         return 0
     if args.experiment == "table3":
-        print(ex.run_table3(scale=args.scale, seed=args.seed).to_text())
+        print(figures.run_table3(scale=args.scale, seed=args.seed).to_text())
         return 0
     if args.experiment == "loadgen":
         address = None
         if args.address:
             host, _, port = args.address.rpartition(":")
             address = (host, int(port))
-        names = args.scenarios.split(",") if args.scenarios else None
-        result = ex.run_loadgen(
+        result = systems.run_loadgen(
             scenarios=names,
             seed=args.seed,
             k=args.k,
@@ -238,51 +258,23 @@ def main(argv: list[str] | None = None) -> int:
 
             print(PLAN_REGISTRY.describe())
             return 0
-        names = args.scenarios.split(",") if args.scenarios else None
-        paths = args.paths.split(",") if args.paths else None
-        result = ex.run_conformance(
+        result = systems.run_conformance(
             scenarios=names,
             seed=args.seed,
             k=args.k,
             max_events=args.events,
-            paths=paths,
+            paths=args.paths.split(",") if args.paths else None,
         )
         print(result.to_text())
         # Non-zero exit on any divergence: CI gates on this.
         return 0 if result.total_divergences == 0 else 1
-    datasets = ex.make_datasets(args.scale, seed=args.seed)
+    datasets = figures.make_datasets(args.scale, seed=args.seed)
     if args.experiment == "fig11":
-        print(ex.run_fig11(datasets, seed=args.seed).to_text())
+        print(figures.run_fig11(datasets, seed=args.seed).to_text())
         return 0
     dataset = datasets[args.dataset]
-    # One --seed drives both the dataset generators above and the model
-    # initialization inside every driver — a run is reproducible from the
-    # command line alone.
-    if args.experiment == "fig5":
-        result = ex.run_fig5(
-            dataset, max_users=16, max_states=4, min_history=25, seed=args.seed
-        )
-    elif args.experiment == "fig6":
-        result = ex.run_fig6(dataset, min_truth=args.min_truth, seed=args.seed)
-    elif args.experiment == "fig7":
-        result = ex.run_fig7(dataset, min_truth=args.min_truth, seed=args.seed)
-    elif args.experiment == "fig8":
-        result = ex.run_fig8(dataset, min_truth=args.min_truth, seed=args.seed)
-    elif args.experiment == "fig9":
-        result = ex.run_fig9(dataset, min_truth=args.min_truth, seed=args.seed)
-    elif args.experiment == "fig10":
-        result = ex.run_fig10(dataset, min_truth=2, seed=args.seed)
-    elif args.experiment == "batch":
-        result = ex.run_batch_throughput(dataset, seed=args.seed)
-    elif args.experiment == "sharded":
-        result = ex.run_sharded_throughput(dataset, seed=args.seed)
-    elif args.experiment == "dedup":
-        result = ex.run_dedup(base=dataset, seed=args.seed)
-        print(result.to_text())
-        # Non-zero exit on exact-mode divergence: CI gates on this.
-        return 0 if result.exact_parity_ok else 1
-    elif args.experiment == "serve":
-        thread = ex.run_serve(
+    if args.experiment == "serve":
+        thread = systems.run_serve(
             dataset,
             host=args.host,
             port=args.port,
@@ -300,9 +292,11 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             thread.stop()
         return 0
-    else:  # pragma: no cover - argparse restricts choices
-        raise AssertionError(args.experiment)
+    result = _figure_drivers(args)[args.experiment](dataset)
     print(result.to_text())
+    if args.experiment == "dedup":
+        # Non-zero exit on exact-mode divergence: CI gates on this.
+        return 0 if result.parity_ok else 1
     return 0
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.ssrec import SsRecRecommender
 from repro.datasets.partitions import PartitionedStream
-from repro.datasets.schema import Interaction, SocialItem
+from repro.datasets.schema import SocialItem
 from repro.eval.metrics import PrecisionAccumulator, TimingStats
 
 
@@ -77,7 +77,7 @@ class StreamEvaluator:
         self._item_by_id = {it.item_id: it for it in stream.dataset.items}
 
     # ------------------------------------------------------------------
-    # Event replay
+    # Event replay (per-item, micro-batched and the lambda sweep share it)
     # ------------------------------------------------------------------
     def _partition_events(
         self, partition: int
@@ -102,6 +102,28 @@ class StreamEvaluator:
         events.sort(key=lambda e: (e[0], e[1]))
         return events, truth
 
+    def _replay(self, recommender, update: bool = True, observe_items: bool = True):
+        """The one walk over the test partitions' events.
+
+        Applies uploads (``observe_item``) and interactions (``update``)
+        to ``recommender`` in stream order and yields ``(item, truth)``
+        for every judged upload, at the moment it arrives — the consumer
+        serves it before the next event is applied.  ``(None, None)``
+        marks the end of each test partition.
+        """
+        for partition in self.stream.test_indices:
+            events, truth = self._partition_events(partition)
+            for _, kind, payload in events:
+                if kind == 0:
+                    item, keep = payload
+                    if observe_items and hasattr(recommender, "observe_item"):
+                        recommender.observe_item(item)
+                    if keep:
+                        yield item, truth.get(item.item_id, set())
+                elif update:
+                    recommender.update(payload, self._item_by_id.get(payload.item_id))
+            yield None, None
+
     def run(
         self,
         recommender,
@@ -109,7 +131,9 @@ class StreamEvaluator:
         observe_items: bool = True,
         k: int | None = None,
     ) -> EvalOutcome:
-        """Replay all test partitions against ``recommender``.
+        """Replay all test partitions against ``recommender``, one
+        ``recommend(item, k)`` per judged upload — :meth:`run_batch` at
+        ``batch_size=1``.
 
         The recommender must expose ``recommend(item, k)`` and, when
         ``update``/``observe_items`` are on, ``update(interaction, item)``
@@ -122,49 +146,8 @@ class StreamEvaluator:
             observe_items: forward item uploads to the model.
             k: recommendation depth; defaults to ``max(ks)``.
         """
-        depth = int(k) if k is not None else max(self.ks)
-        accumulator = PrecisionAccumulator(self.ks)
-        timing = TimingStats()
-        per_partition: list[TimingStats] = []
-        for partition in self.stream.test_indices:
-            events, truth = self._partition_events(partition)
-            part_timing = TimingStats()
-            for _, kind, payload in events:
-                if kind == 0:
-                    item, keep = payload
-                    if observe_items and hasattr(recommender, "observe_item"):
-                        recommender.observe_item(item)
-                    if not keep:
-                        continue
-                    # Flush pending index maintenance outside the response
-                    # timer: the paper reports recommendation and update
-                    # costs separately (Fig. 10 vs Fig. 11).
-                    if hasattr(recommender, "run_maintenance"):
-                        recommender.run_maintenance()
-                    started = time.perf_counter()
-                    ranked = recommender.recommend(item, depth)
-                    elapsed = time.perf_counter() - started
-                    timing.record(elapsed)
-                    part_timing.record(elapsed)
-                    accumulator.add(
-                        [user for user, _ in ranked], truth.get(item.item_id, set())
-                    )
-                else:
-                    if update:
-                        inter: Interaction = payload
-                        recommender.update(inter, self._item_by_id.get(inter.item_id))
-            per_partition.append(part_timing)
-        return EvalOutcome(
-            p_at_k=accumulator.precision(),
-            hits=dict(accumulator.hits),
-            n_items=accumulator.n_items,
-            timing=timing,
-            per_partition_timing=per_partition,
-        )
+        return self.run_batch(recommender, 1, update, observe_items, k)
 
-    # ------------------------------------------------------------------
-    # Micro-batched replay (the batched serving path)
-    # ------------------------------------------------------------------
     def run_batch(
         self,
         recommender,
@@ -173,69 +156,63 @@ class StreamEvaluator:
         observe_items: bool = True,
         k: int | None = None,
     ) -> EvalOutcome:
-        """Replay all test partitions through ``recommend_batch``.
+        """Replay all test partitions in micro-batched windows.
 
         Judged items are buffered into windows of ``batch_size`` (default:
         the recommender's ``config.batch_size`` when it has one) and served
         with one ``recommend_batch`` call per window (partial windows flush
-        at partition end).  Interaction events still update profiles in
-        stream order, so a window's items are scored with the profile state
-        at window-flush time — the inherent freshness trade of
-        micro-batching (at ``batch_size=1`` results match :meth:`run`
-        exactly).  Timing records the per-item share of each window's
-        serving cost; maintenance is flushed outside the timer, mirroring
-        :meth:`run`.
+        at partition end; a window of one is served through ``recommend``,
+        the per-item entry point Fig. 10 times).  Interaction events still
+        update profiles in stream order, so a window's items are scored
+        with the profile state at window-flush time — the inherent
+        freshness trade of micro-batching.  Timing records the per-item
+        share of each window's serving cost; pending index maintenance is
+        flushed outside the timer — the paper reports recommendation and
+        update costs separately (Fig. 10 vs Fig. 11).
         """
         if batch_size is None:
-            batch_size = _configured_batch_size(recommender)
+            config = getattr(recommender, "config", None)
+            batch_size = int(getattr(config, "batch_size", 64))
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         depth = int(k) if k is not None else max(self.ks)
         accumulator = PrecisionAccumulator(self.ks)
         timing = TimingStats()
-        per_partition: list[TimingStats] = []
+        per_partition = [TimingStats()]
+        window: list[tuple[SocialItem, set[int]]] = []
 
-        def flush(window, truth, part_timing) -> None:
+        def flush() -> None:
             if not window:
                 return
+            items = [item for item, _ in window]
             if hasattr(recommender, "run_maintenance"):
                 recommender.run_maintenance()
             started = time.perf_counter()
-            ranked_lists = recommender.recommend_batch(window, depth)
+            if batch_size == 1:
+                ranked_lists = [recommender.recommend(items[0], depth)]
+            else:
+                ranked_lists = recommender.recommend_batch(items, depth)
             per_item = (time.perf_counter() - started) / len(window)
-            for item, ranked in zip(window, ranked_lists):
+            for (_, item_truth), ranked in zip(window, ranked_lists):
                 timing.record(per_item)
-                part_timing.record(per_item)
-                accumulator.add(
-                    [user for user, _ in ranked], truth.get(item.item_id, set())
-                )
+                per_partition[-1].record(per_item)
+                accumulator.add([user for user, _ in ranked], item_truth)
             window.clear()
 
-        for partition in self.stream.test_indices:
-            events, truth = self._partition_events(partition)
-            part_timing = TimingStats()
-            window: list[SocialItem] = []
-            for _, kind, payload in events:
-                if kind == 0:
-                    item, keep = payload
-                    if observe_items and hasattr(recommender, "observe_item"):
-                        recommender.observe_item(item)
-                    if keep:
-                        window.append(item)
-                        if len(window) >= batch_size:
-                            flush(window, truth, part_timing)
-                else:
-                    if update:
-                        inter: Interaction = payload
-                        recommender.update(inter, self._item_by_id.get(inter.item_id))
-            flush(window, truth, part_timing)
-            per_partition.append(part_timing)
+        for item, item_truth in self._replay(recommender, update, observe_items):
+            if item is None:
+                flush()
+                per_partition.append(TimingStats())
+                continue
+            window.append((item, item_truth))
+            if len(window) >= batch_size:
+                flush()
         return EvalOutcome(
             p_at_k=accumulator.precision(),
             hits=dict(accumulator.hits),
             n_items=accumulator.n_items,
             timing=timing,
-            per_partition_timing=per_partition,
+            per_partition_timing=per_partition[:-1],
         )
 
     # ------------------------------------------------------------------
@@ -259,28 +236,15 @@ class StreamEvaluator:
         lambdas = [float(l) for l in lambdas]
         accumulators = {l: PrecisionAccumulator(self.ks) for l in lambdas}
         depth = max(self.ks)
-        for partition in self.stream.test_indices:
-            events, truth = self._partition_events(partition)
-            for _, kind, payload in events:
-                if kind == 0:
-                    item, keep = payload
-                    if hasattr(recommender, "observe_item"):
-                        recommender.observe_item(item)
-                    if not keep:
-                        continue
-                    r_long, r_short = recommender.matcher.score_components(item)
-                    user_ids = np.asarray(recommender.matcher.user_ids)
-                    item_truth = truth.get(item.item_id, set())
-                    for lam in lambdas:
-                        scores = (1.0 - lam) * r_long + lam * r_short
-                        order = np.lexsort((user_ids, -scores))[:depth]
-                        accumulators[lam].add(
-                            [int(user_ids[i]) for i in order], item_truth
-                        )
-                else:
-                    if update:
-                        inter = payload
-                        recommender.update(inter, self._item_by_id.get(inter.item_id))
+        for item, item_truth in self._replay(recommender, update):
+            if item is None:
+                continue
+            r_long, r_short = recommender.matcher.score_components(item)
+            user_ids = np.asarray(recommender.matcher.user_ids)
+            for lam in lambdas:
+                scores = (1.0 - lam) * r_long + lam * r_short
+                order = np.lexsort((user_ids, -scores))[:depth]
+                accumulators[lam].add([int(user_ids[i]) for i in order], item_truth)
         return {lam: acc.precision() for lam, acc in accumulators.items()}
 
     # ------------------------------------------------------------------
@@ -295,8 +259,12 @@ class StreamEvaluator:
         """Seconds spent in Algorithm 2 while absorbing the first
         ``n_update_partitions`` test partitions' interactions.
 
-        Updates are applied in batches of ``batch_size`` profile touches
-        (the paper maintains the index "periodically").
+        Interactions go through ``recommender.update`` and the index is
+        maintained by an explicit, timed ``run_maintenance()`` every
+        ``batch_size`` updates (the paper maintains the index
+        "periodically"), so the recommender's own ``maintenance_interval``
+        must exceed ``batch_size`` — otherwise ``update`` would flush
+        inside the untimed region.
         """
         if recommender.index is None:
             raise ValueError("recommender must be fitted with use_index=True")
@@ -304,36 +272,21 @@ class StreamEvaluator:
             raise ValueError(
                 f"n_update_partitions must be in [1, {len(self.stream.test_indices)}]"
             )
+        if recommender.maintenance_interval <= batch_size:
+            raise ValueError(
+                f"maintenance_interval ({recommender.maintenance_interval}) must "
+                f"exceed batch_size ({batch_size}) to time every flush"
+            )
+        interactions = [
+            inter
+            for partition in self.stream.test_indices[:n_update_partitions]
+            for inter in self.stream.partitions[partition]
+        ]
         total = 0.0
-        pending = 0
-        for partition in self.stream.test_indices[:n_update_partitions]:
-            for inter in self.stream.partitions[partition]:
-                item = self._item_by_id.get(inter.item_id)
-                recommender.profiles.record(
-                    inter.user_id,
-                    _to_event(inter, item),
-                )
-                recommender._maintenance_pending.add(inter.user_id)
-                pending += 1
-                if pending >= batch_size:
-                    started = time.perf_counter()
-                    recommender.run_maintenance()
-                    total += time.perf_counter() - started
-                    pending = 0
-        if pending:
+        for start in range(0, len(interactions), batch_size):
+            for inter in interactions[start : start + batch_size]:
+                recommender.update(inter, self._item_by_id.get(inter.item_id))
             started = time.perf_counter()
             recommender.run_maintenance()
             total += time.perf_counter() - started
         return total
-
-
-def _configured_batch_size(recommender, fallback: int = 64) -> int:
-    """The recommender's configured micro-batch window, or ``fallback``."""
-    config = getattr(recommender, "config", None)
-    return int(getattr(config, "batch_size", fallback))
-
-
-def _to_event(inter: Interaction, item: SocialItem | None):
-    from repro.core.profiles import ProfileEvent
-
-    return ProfileEvent.from_interaction(inter, item)

@@ -108,27 +108,24 @@ class LoadgenReport:
 
 
 async def _recommend_with_retry(
-    client: AsyncRecommenderClient,
-    item: SocialItem,
-    k: int,
-    report: LoadgenReport,
-    semaphore: asyncio.Semaphore,
+    client: AsyncRecommenderClient, item: SocialItem, k: int, report
 ) -> RankedList:
-    async with semaphore:
-        for attempt in range(OVERLOAD_RETRIES):
-            started = time.perf_counter()
-            try:
-                ranked = await client.recommend(item, k)
-            except ServerOverloadError:
-                report.overloads += 1
-                await asyncio.sleep(OVERLOAD_BACKOFF * (attempt + 1))
-                continue
-            report.latency.record(time.perf_counter() - started)
-            return ranked
-        raise ServerOverloadError(
-            f"recommend for item {item.item_id} still overloaded after "
-            f"{OVERLOAD_RETRIES} retries"
-        )
+    """One recommend; typed overload replies are retried, and counted (with
+    the round-trip latency) on ``report`` — either report class."""
+    for attempt in range(OVERLOAD_RETRIES):
+        started = time.perf_counter()
+        try:
+            ranked = await client.recommend(item, k)
+        except ServerOverloadError:
+            report.overloads += 1
+            await asyncio.sleep(OVERLOAD_BACKOFF * (attempt + 1))
+            continue
+        report.latency.record(time.perf_counter() - started)
+        return ranked
+    raise ServerOverloadError(
+        f"recommend for item {item.item_id} still overloaded after "
+        f"{OVERLOAD_RETRIES} retries"
+    )
 
 
 async def _drive_scenario_async(
@@ -143,43 +140,30 @@ async def _drive_scenario_async(
     report = LoadgenReport(scenario=scenario.name, verified=replica is not None)
     client = await AsyncRecommenderClient.connect(host, port)
     semaphore = asyncio.Semaphore(max(1, concurrency))
+
+    async def recommend(item: SocialItem) -> RankedList:
+        async with semaphore:
+            return await _recommend_with_retry(client, item, k, report)
+
     started = time.perf_counter()
     try:
-        window: list[SocialItem] = []
-
-        async def serve_window() -> None:
-            if not window:
-                return
-            served = await asyncio.gather(*[
-                _recommend_with_retry(client, item, k, report, semaphore)
-                for item in window
-            ])
-            report.n_recommends += len(window)
-            if replica is not None:
-                expected = replica.recommend_batch(window, k)
-                for got, want in zip(served, expected):
-                    if got != want:
-                        report.divergences += 1
-            window.clear()
-
-        for event in scenario.events:
-            if event.kind == "upload":
-                item = event.payload
-                await client.observe(item)
-                if replica is not None:
-                    replica.observe_item(item)
+        for step in scenario.steps(window_size):
+            if step.kind == "observe":
+                await client.observe(step.item)
                 report.n_observes += 1
-                window.append(item)
-                if len(window) >= window_size:
-                    await serve_window()
-            else:
-                interaction = event.payload
-                payload_item = scenario.item_payload(interaction)
-                await client.update(interaction, payload_item)
-                if replica is not None:
-                    replica.update(interaction, payload_item)
+            elif step.kind == "update":
+                await client.update(step.interaction, step.item)
                 report.n_updates += 1
-        await serve_window()
+            else:
+                served = await asyncio.gather(*map(recommend, step.window))
+                report.n_recommends += len(served)
+                if replica is not None:
+                    expected = replica.recommend_batch(step.window, k)
+                    report.divergences += sum(
+                        got != want for got, want in zip(served, expected)
+                    )
+            if replica is not None:
+                step.write_to(replica)
         report.seconds = time.perf_counter() - started
         report.server_stats = await client.stats()
         report.server_obs = await client.metrics()
@@ -216,11 +200,11 @@ class QueryLoadReport:
     """A pure-query open loop's measurement (the bench's unit)."""
 
     n_queries: int
-    seconds: float
-    overloads: int
-    latency: TimingStats
-    results: list[RankedList]
-    server_stats: dict
+    seconds: float = 0.0
+    overloads: int = 0
+    latency: TimingStats = field(default_factory=TimingStats)
+    results: list[RankedList] = field(default_factory=list)
+    server_stats: dict = field(default_factory=dict)
     server_obs: dict = field(default_factory=dict)
 
     @property
@@ -235,7 +219,7 @@ async def _drive_queries_async(
     k: int,
     concurrency: int,
 ) -> QueryLoadReport:
-    report = LoadgenReport(scenario="queries")
+    report = QueryLoadReport(n_queries=len(items))
     client = await AsyncRecommenderClient.connect(host, port)
     started = time.perf_counter()
     try:
@@ -252,37 +236,18 @@ async def _drive_queries_async(
             while next_index < len(items):
                 index = next_index
                 next_index += 1
-                for attempt in range(OVERLOAD_RETRIES):
-                    query_started = time.perf_counter()
-                    try:
-                        results[index] = await client.recommend(items[index], k)
-                    except ServerOverloadError:
-                        report.overloads += 1
-                        await asyncio.sleep(OVERLOAD_BACKOFF * (attempt + 1))
-                        continue
-                    report.latency.record(time.perf_counter() - query_started)
-                    break
-                else:
-                    raise ServerOverloadError(
-                        f"recommend for item {items[index].item_id} still "
-                        f"overloaded after {OVERLOAD_RETRIES} retries"
-                    )
+                results[index] = await _recommend_with_retry(
+                    client, items[index], k, report
+                )
 
         await asyncio.gather(*[worker() for _ in range(max(1, concurrency))])
-        seconds = time.perf_counter() - started
-        stats = await client.stats()
-        obs = await client.metrics()
+        report.seconds = time.perf_counter() - started
+        report.results = list(results)
+        report.server_stats = await client.stats()
+        report.server_obs = await client.metrics()
     finally:
         await client.close()
-    return QueryLoadReport(
-        n_queries=len(items),
-        seconds=seconds,
-        overloads=report.overloads,
-        latency=report.latency,
-        results=list(results),
-        server_stats=stats,
-        server_obs=obs,
-    )
+    return report
 
 
 def drive_queries(

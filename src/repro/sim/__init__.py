@@ -24,20 +24,23 @@ from repro.sim.conformance import (
     ConformanceRunner,
     Divergence,
     PathReport,
+    fit_template,
 )
 from repro.sim.oracle import OracleMatcher, matches_exactly, matches_within_ties
-from repro.sim.scenarios import SCENARIOS, Scenario, ScenarioGenerator, StreamEvent
+from repro.sim.scenarios import SCENARIOS, ReplayStep, Scenario, ScenarioGenerator, StreamEvent
 
 __all__ = [
     "SCENARIOS",
     "Scenario",
     "ScenarioGenerator",
     "StreamEvent",
+    "ReplayStep",
     "OracleMatcher",
     "matches_exactly",
     "matches_within_ties",
     "CONFORMANCE_PATHS",
     "ConformanceRunner",
+    "fit_template",
     "ConformanceReport",
     "PathReport",
     "Divergence",

@@ -224,12 +224,6 @@ class _PathState:
     def is_sharded(self) -> bool:
         return self.plan.is_sharded
 
-    def observe(self, item: SocialItem) -> None:
-        self.recommender.observe_item(item)
-
-    def update(self, interaction, payload_item) -> None:
-        self.recommender.update(interaction, payload_item)
-
     def probed_users(self, item: SocialItem) -> set[int]:
         """The candidate set this path's index structures admit for ``item``
         (call after serving, so pending maintenance has been flushed)."""
@@ -241,6 +235,19 @@ class _PathState:
             return probed
         assert self.recommender.index is not None
         return self.recommender.index.users_in_probed_trees(item)
+
+
+def fit_template(
+    scenario: Scenario, config: SsRecConfig | None = None, seed: int = 1
+) -> SsRecRecommender:
+    """One scan-mode recommender fitted on ``scenario``'s training slice at
+    the scenario's maintenance cadence — deep-copy it per replica, so every
+    replayed path starts from byte-identical trained state."""
+    config = (config or SsRecConfig()).with_options(
+        maintenance_interval=scenario.maintenance_interval
+    )
+    template = SsRecRecommender(config=config, use_index=False, seed=seed)
+    return template.fit(scenario.dataset, scenario.train_interactions)
 
 
 class ConformanceRunner:
@@ -366,12 +373,7 @@ class ConformanceRunner:
             snapshot_dir: where the mid-stream snapshot is written; a
                 temporary directory is used (and cleaned up) when omitted.
         """
-        config = (self.config or SsRecConfig()).with_options(
-            maintenance_interval=scenario.maintenance_interval
-        )
-        template = SsRecRecommender(config=config, use_index=False, seed=self.fit_seed)
-        template.fit(scenario.dataset, scenario.train_interactions)
-
+        template = fit_template(scenario, self.config, self.fit_seed)
         oracle_rec = copy.deepcopy(template)
         oracle = OracleMatcher(oracle_rec.scorer, oracle_rec.profiles)
         states = self._build_paths(template)
@@ -403,29 +405,18 @@ class ConformanceRunner:
         return report
 
     def _replay(self, scenario, oracle_rec, oracle, states, snapshot_dir) -> None:
-        window: list[SocialItem] = []
         window_index = 0
-        for event in scenario.events:
-            if event.kind == "upload":
-                item = event.payload
-                oracle_rec.observe_item(item)
-                for state in states.values():
-                    state.observe(item)
-                window.append(item)
-                if len(window) >= self.window_size:
-                    self._serve_window(
-                        window, window_index, oracle, states, snapshot_dir
-                    )
-                    window = []
-                    window_index += 1
-            else:
-                interaction = event.payload
-                payload_item = scenario.item_payload(interaction)
-                oracle_rec.update(interaction, payload_item)
-                for state in states.values():
-                    state.update(interaction, payload_item)
-        if window:
-            self._serve_window(window, window_index, oracle, states, snapshot_dir)
+        for step in scenario.steps(self.window_size):
+            if step.kind == "serve":
+                self._serve_window(
+                    step.window, window_index, oracle, states, snapshot_dir
+                )
+                window_index += 1
+                continue
+            step.write_to(oracle_rec)
+            for state in states.values():
+                # Read per step: a snapshot reload swaps the recommender.
+                step.write_to(state.recommender)
 
     # ------------------------------------------------------------------
     # One window: serve every path, judge every result

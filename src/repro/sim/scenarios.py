@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,6 +99,30 @@ class StreamEvent:
             raise ValueError(f"kind must be 'upload' or 'interact', got {self.kind!r}")
 
 
+@dataclass(frozen=True)
+class ReplayStep:
+    """One step of a scenario replay (see :meth:`Scenario.steps`).
+
+    Attributes:
+        kind: ``"observe"`` (``item`` was uploaded), ``"update"``
+            (``interaction`` arrived; ``item`` is its payload item, or
+            None when unknown) or ``"serve"`` (``window`` is due).
+        item / interaction / window: the step's operands.
+    """
+
+    kind: str
+    item: SocialItem | None = None
+    interaction: Interaction | None = None
+    window: tuple[SocialItem, ...] = ()
+
+    def write_to(self, recommender) -> None:
+        """Apply a write step (observe/update) to a recommender replica."""
+        if self.kind == "observe":
+            recommender.observe_item(self.item)
+        elif self.kind == "update":
+            recommender.update(self.interaction, self.item)
+
+
 @dataclass
 class Scenario:
     """A training universe plus an adversarial serving stream.
@@ -145,6 +169,32 @@ class Scenario:
 
     def interactions(self) -> list[Interaction]:
         return [e.payload for e in self.events if e.kind == "interact"]
+
+    def steps(self, window_size: int) -> Iterator[ReplayStep]:
+        """The replay every driver walks: ``events`` in delivery order as
+        observe/update writes, with a ``serve`` step the moment
+        ``window_size`` uploads have been observed since the last one and
+        a final one for a trailing partial window — so every upload is
+        served exactly once, after all the writes delivered before its
+        window closed."""
+        if window_size < 1:
+            raise ValueError(f"window_size must be >= 1, got {window_size}")
+        window: list[SocialItem] = []
+        for event in self.events:
+            if event.kind == "interact":
+                yield ReplayStep(
+                    "update",
+                    item=self.item_payload(event.payload),
+                    interaction=event.payload,
+                )
+                continue
+            yield ReplayStep("observe", item=event.payload)
+            window.append(event.payload)
+            if len(window) >= window_size:
+                yield ReplayStep("serve", window=tuple(window))
+                window = []
+        if window:
+            yield ReplayStep("serve", window=tuple(window))
 
     # ------------------------------------------------------------------
     # Summary (reports, tests)

@@ -8,23 +8,22 @@ executed by a deterministic single-process engine that records per-bolt
 timing (what the efficiency experiments measure).
 
 The substrate is generic — nothing in it knows about recommendation; the
-paper's deployment lives in :mod:`repro.stream.recommend_topology`.
+paper's deployment — per-item, micro-batched or sharded, one builder —
+lives in :mod:`repro.stream.deployment`.
 """
 
 from repro.stream.tuples import StreamTuple
 from repro.stream.topology import Bolt, Spout, TopologyBuilder, Topology, Grouping
 from repro.stream.engine import LocalEngine, EngineReport
-from repro.stream.recommend_topology import (
-    ItemSpout,
+from repro.stream.deployment import (
     EntityExtractBolt,
+    ItemSpout,
     MatchBolt,
+    MicroBatchBolt,
+    ShardMatchBolt,
+    ShardMergeBolt,
     TopKSinkBolt,
     build_recommendation_topology,
-)
-from repro.stream.batch_topology import (
-    BatchMatchBolt,
-    MicroBatchBolt,
-    build_batch_recommend_topology,
 )
 
 __all__ = [
@@ -39,9 +38,9 @@ __all__ = [
     "ItemSpout",
     "EntityExtractBolt",
     "MatchBolt",
+    "MicroBatchBolt",
+    "ShardMatchBolt",
+    "ShardMergeBolt",
     "TopKSinkBolt",
     "build_recommendation_topology",
-    "MicroBatchBolt",
-    "BatchMatchBolt",
-    "build_batch_recommend_topology",
 ]

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from repro.eval import experiments as ex
+from repro.eval import figures, systems
 from repro.eval.__main__ import ALL_EXPERIMENTS, build_parser, main
 
 
@@ -14,7 +14,7 @@ class _StubResult:
 
     text: str = "stub output"
     total_divergences: int = 0
-    exact_parity_ok: bool = True
+    parity_ok: bool = True
 
     def to_text(self) -> str:
         return self.text
@@ -22,7 +22,7 @@ class _StubResult:
 
 @dataclass
 class _Recorder:
-    """Replaces one ``ex.run_*`` driver; records how it was called."""
+    """Replaces one ``run_*`` driver; records how it was called."""
 
     result: _StubResult = field(default_factory=_StubResult)
     calls: list = field(default_factory=list)
@@ -91,28 +91,28 @@ class TestDispatch:
             recorder.calls.append(((scale,), {"seed": seed}))
             return datasets
 
-        monkeypatch.setattr(ex, "make_datasets", make_datasets)
+        monkeypatch.setattr(figures, "make_datasets", make_datasets)
         return datasets, recorder
 
     @pytest.mark.parametrize(
-        "experiment,driver",
+        "experiment,module,driver",
         [
-            ("fig5", "run_fig5"),
-            ("fig6", "run_fig6"),
-            ("fig7", "run_fig7"),
-            ("fig8", "run_fig8"),
-            ("fig9", "run_fig9"),
-            ("fig10", "run_fig10"),
-            ("batch", "run_batch_throughput"),
-            ("sharded", "run_sharded_throughput"),
+            ("fig5", figures, "run_fig5"),
+            ("fig6", figures, "run_fig6"),
+            ("fig7", figures, "run_fig7"),
+            ("fig8", figures, "run_fig8"),
+            ("fig9", figures, "run_fig9"),
+            ("fig10", figures, "run_fig10"),
+            ("batch", systems, "run_batch_throughput"),
+            ("sharded", systems, "run_sharded_throughput"),
         ],
     )
     def test_single_dataset_dispatch(
-        self, monkeypatch, capsys, fake_datasets, experiment, driver
+        self, monkeypatch, capsys, fake_datasets, experiment, module, driver
     ):
         datasets, dataset_recorder = fake_datasets
         recorder = _Recorder()
-        monkeypatch.setattr(ex, driver, recorder)
+        monkeypatch.setattr(module, driver, recorder)
         assert main([experiment, "--dataset", "MLens", "--seed", "11"]) == 0
         assert "stub output" in capsys.readouterr().out
         args, kwargs = recorder.calls[0]
@@ -126,7 +126,7 @@ class TestDispatch:
     ):
         datasets, _ = fake_datasets
         recorder = _Recorder()
-        monkeypatch.setattr(ex, "run_fig11", recorder)
+        monkeypatch.setattr(figures, "run_fig11", recorder)
         assert main(["fig11", "--seed", "3"]) == 0
         args, kwargs = recorder.calls[0]
         assert args[0] is datasets
@@ -134,7 +134,7 @@ class TestDispatch:
 
     def test_table2_threads_seed_into_generator(self, monkeypatch, capsys):
         recorder = _Recorder()
-        monkeypatch.setattr(ex, "run_table2", recorder)
+        monkeypatch.setattr(figures, "run_table2", recorder)
         seen = {}
 
         def fake_generate(config):
@@ -149,7 +149,7 @@ class TestDispatch:
 
     def test_min_truth_threaded(self, monkeypatch, capsys, fake_datasets):
         recorder = _Recorder()
-        monkeypatch.setattr(ex, "run_fig8", recorder)
+        monkeypatch.setattr(figures, "run_fig8", recorder)
         assert main(["fig8", "--min-truth", "5"]) == 0
         assert recorder.kwargs["min_truth"] == 5
 
@@ -166,12 +166,12 @@ class TestDispatch:
         with pytest.raises(SystemExit):
             main(["cache"])
         assert "invalid choice" in capsys.readouterr().err
-        assert not hasattr(ex, "run_result_cache")
+        assert not hasattr(systems, "run_result_cache")
 
     def test_dedup_dispatch(self, monkeypatch, capsys, fake_datasets):
         datasets, _ = fake_datasets
-        recorder = _Recorder(result=_StubResult(exact_parity_ok=True))
-        monkeypatch.setattr(ex, "run_dedup", recorder)
+        recorder = _Recorder(result=_StubResult(parity_ok=True))
+        monkeypatch.setattr(systems, "run_dedup", recorder)
         assert main(["dedup", "--dataset", "MLens", "--seed", "11"]) == 0
         assert "stub output" in capsys.readouterr().out
         assert recorder.kwargs["base"] is datasets["MLens"]
@@ -180,8 +180,8 @@ class TestDispatch:
     def test_dedup_nonzero_exit_on_exact_divergence(
         self, monkeypatch, capsys, fake_datasets
     ):
-        recorder = _Recorder(result=_StubResult(exact_parity_ok=False))
-        monkeypatch.setattr(ex, "run_dedup", recorder)
+        recorder = _Recorder(result=_StubResult(parity_ok=False))
+        monkeypatch.setattr(systems, "run_dedup", recorder)
         # CI gates on this: an exact-mode divergence must fail the process.
         assert main(["dedup"]) == 1
 
@@ -189,7 +189,7 @@ class TestDispatch:
 class TestConformanceCommand:
     def test_threads_seed_k_scenarios_events(self, monkeypatch, capsys):
         recorder = _Recorder()
-        monkeypatch.setattr(ex, "run_conformance", recorder)
+        monkeypatch.setattr(systems, "run_conformance", recorder)
         assert (
             main(
                 [
@@ -211,20 +211,20 @@ class TestConformanceCommand:
 
     def test_default_scenarios_is_full_catalog(self, monkeypatch, capsys):
         recorder = _Recorder()
-        monkeypatch.setattr(ex, "run_conformance", recorder)
+        monkeypatch.setattr(systems, "run_conformance", recorder)
         assert main(["conformance"]) == 0
         assert recorder.kwargs["scenarios"] is None
 
     def test_nonzero_exit_on_divergence(self, monkeypatch, capsys):
         recorder = _Recorder(result=_StubResult(total_divergences=2))
-        monkeypatch.setattr(ex, "run_conformance", recorder)
+        monkeypatch.setattr(systems, "run_conformance", recorder)
         # CI gates on this: any divergence must fail the process.
         assert main(["conformance"]) == 1
         assert "stub output" in capsys.readouterr().out
 
     def test_threads_registry_paths(self, monkeypatch, capsys):
         recorder = _Recorder()
-        monkeypatch.setattr(ex, "run_conformance", recorder)
+        monkeypatch.setattr(systems, "run_conformance", recorder)
         assert (
             main(["conformance", "--paths", "scan-item,index-batch-dedup"]) == 0
         )
@@ -232,7 +232,7 @@ class TestConformanceCommand:
 
     def test_default_paths_is_full_registry(self, monkeypatch, capsys):
         recorder = _Recorder()
-        monkeypatch.setattr(ex, "run_conformance", recorder)
+        monkeypatch.setattr(systems, "run_conformance", recorder)
         assert main(["conformance"]) == 0
         assert recorder.kwargs["paths"] is None
 

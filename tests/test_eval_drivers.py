@@ -2,36 +2,36 @@
 
 import pytest
 
-from repro.eval import experiments as ex
-from repro.eval.experiments import _cumulative_means, _profiles_from_dataset
+from repro.eval import figures, systems
+from repro.eval.figures import cumulative_means, profiles_from_dataset
 from repro.eval.metrics import TimingStats
 
 
 class TestMakeDatasets:
     def test_small_scale_has_four_datasets(self):
-        datasets = ex.make_datasets("small")
+        datasets = figures.make_datasets("small")
         assert list(datasets) == ["YTube", "SynYTube", "MLens", "SynMLens"]
         for ds in datasets.values():
             ds.validate()
 
     def test_unknown_scale_rejected(self):
         with pytest.raises(ValueError, match="unknown scale"):
-            ex.make_datasets("galactic")
+            figures.make_datasets("galactic")
 
     def test_seed_changes_data(self):
-        a = ex.make_datasets("small", seed=1)["YTube"]
-        b = ex.make_datasets("small", seed=2)["YTube"]
+        a = figures.make_datasets("small", seed=1)["YTube"]
+        b = figures.make_datasets("small", seed=2)["YTube"]
         assert a.interactions[:50] != b.interactions[:50]
 
 
 class TestProfilesFromDataset:
     def test_every_active_user_profiled(self, ytube_small):
-        profiles = _profiles_from_dataset(ytube_small)
+        profiles = profiles_from_dataset(ytube_small)
         active = {i.user_id for i in ytube_small.interactions}
         assert {p.user_id for p in profiles} == active
 
     def test_window_one_captures_full_history(self, ytube_small):
-        profiles = _profiles_from_dataset(ytube_small, window_size=1)
+        profiles = profiles_from_dataset(ytube_small, window_size=1)
         by_user = {}
         for inter in ytube_small.interactions:
             by_user[inter.user_id] = by_user.get(inter.user_id, 0) + 1
@@ -41,21 +41,21 @@ class TestProfilesFromDataset:
 
 class TestCumulativeMeans:
     def test_accumulates_across_partitions(self):
-        series = _cumulative_means(
+        series = cumulative_means(
             [TimingStats([0.001, 0.001]), TimingStats([0.003, 0.003])]
         )
         assert series[1] == pytest.approx(1.0)   # ms
         assert series[2] == pytest.approx(2.0)   # (2*1 + 2*3) / 4
 
     def test_empty_partitions_safe(self):
-        series = _cumulative_means([TimingStats(), TimingStats([0.002])])
+        series = cumulative_means([TimingStats(), TimingStats([0.002])])
         assert series[1] == 0.0
         assert series[2] == pytest.approx(2.0)
 
 
 class TestResultFormatting:
     def test_fig7_result_helpers(self, ytube_small):
-        result = ex.run_fig7(
+        result = figures.run_fig7(
             ytube_small, lambdas=(0.0, 0.5), ks=(5,), min_truth=3
         )
         assert result.optimal_lambda(5) in (0.0, 0.5)
@@ -63,22 +63,22 @@ class TestResultFormatting:
         assert "lambda" in text and "Top 5" in text
 
     def test_fig5_groups_cover_all_users(self, ytube_small):
-        result = ex.run_fig5(ytube_small, max_users=8, max_states=3, min_history=25)
+        result = figures.run_fig5(ytube_small, max_users=8, max_states=3, min_history=25)
         assert sum(result.users_by_group.values()) == 8
         assert set(result.hmm_by_group) == set(result.bihmm_by_group)
 
     def test_fig9_has_both_settings(self, ytube_small):
-        result = ex.run_fig9(ytube_small, ks=(5,), min_truth=3)
-        assert set(result.precision) == {"ssRec", "ssRec-nu"}
+        result = figures.run_fig9(ytube_small, ks=(5,), min_truth=3)
+        assert set(result.series) == {"ssRec", "ssRec-nu"}
 
     def test_fig11_text_lists_datasets(self, ytube_small):
-        result = ex.run_fig11({"YTube": ytube_small}, sizes=(1,))
+        result = figures.run_fig11({"YTube": ytube_small}, sizes=(1,))
         assert "YTube" in result.to_text()
 
 
 class TestShardedThroughput:
     def test_parity_and_reporting(self, ytube_small):
-        result = ex.run_sharded_throughput(
+        result = systems.run_sharded_throughput(
             ytube_small, shard_counts=(1, 2), k=10, max_items=48
         )
         assert result.parity_ok

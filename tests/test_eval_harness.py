@@ -1,5 +1,7 @@
 """Tests for the stream evaluation harness."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import SsRecConfig
@@ -96,6 +98,36 @@ class TestMaintenanceCost:
         c1, c3 = cost(1), cost(3)
         assert c1 > 0
         assert c3 > c1 * 0.8  # more updates should not be dramatically cheaper
+
+    def test_writes_go_through_update(self, ytube_small, ytube_stream):
+        """Fig. 11 drives the public write path: every interaction is an
+        ``update`` (so ``exec_epoch`` advances and memoized results are
+        orphaned) and every flush an explicit ``run_maintenance``."""
+        rec = SsRecRecommender(use_index=True, seed=1).fit(
+            ytube_small, ytube_stream.training_interactions()
+        )
+        n_updates = len(ytube_stream.partitions[ytube_stream.test_indices[0]])
+        before = rec.exec_epoch
+        flushes_before = rec.index.counters["flushes"]
+        StreamEvaluator(ytube_stream).maintenance_cost(rec, 1, batch_size=50)
+        n_flushes = -(-n_updates // 50)
+        assert rec.exec_epoch == before + n_updates + n_flushes
+        assert rec.index.counters["flushes"] - flushes_before == n_flushes
+        assert not rec._maintenance_pending  # the tail was flushed too
+
+    def test_no_private_write_path_in_eval(self):
+        """``repro.eval`` never reaches into the recommender's pending set."""
+        import repro.eval
+
+        for path in Path(repro.eval.__file__).parent.glob("*.py"):
+            assert "_maintenance_pending" not in path.read_text(), path.name
+
+    def test_interval_must_exceed_batch(self, ytube_small, ytube_stream):
+        rec = SsRecRecommender(
+            config=SsRecConfig(maintenance_interval=10), use_index=True, seed=1
+        ).fit(ytube_small, ytube_stream.training_interactions())
+        with pytest.raises(ValueError, match="maintenance_interval"):
+            StreamEvaluator(ytube_stream).maintenance_cost(rec, 1, batch_size=10)
 
     def test_requires_index(self, fresh_ssrec, ytube_stream):
         with pytest.raises(ValueError):

@@ -133,9 +133,9 @@ class TestBlockStatistics:
     def test_blocking_reduces_universe_on_real_data(self, ytube_small):
         """Table II's qualitative claim at test scale: more blocks -> the
         worst block's universe is no larger than the single-block one."""
-        from repro.eval.experiments import _profiles_from_dataset
+        from repro.eval.figures import profiles_from_dataset
 
-        profiles = _profiles_from_dataset(ytube_small)
+        profiles = profiles_from_dataset(ytube_small)
         one = block_statistics(one_pass_clustering(profiles, ytube_small.n_categories, 0.0, 1))
         many = block_statistics(
             one_pass_clustering(profiles, ytube_small.n_categories, 0.7, 12)

@@ -9,10 +9,10 @@ import pytest
 
 from repro.core.config import SsRecConfig
 from repro.core.ssrec import SsRecRecommender
-from repro.eval import experiments as ex
+from repro.eval import figures
 from repro.eval.harness import StreamEvaluator
 from repro.stream.engine import LocalEngine
-from repro.stream.recommend_topology import build_recommendation_topology
+from repro.stream import build_recommendation_topology
 
 
 class TestEffectivenessClaims:
@@ -33,36 +33,36 @@ class TestEffectivenessClaims:
 
     def test_updates_improve_precision(self, ytube_small, ytube_stream):
         """Fig. 9's claim: ssRec > ssRec-nu."""
-        result = ex.run_fig9(ytube_small, ks=(10, 20, 30), min_truth=3)
+        result = figures.run_fig9(ytube_small, ks=(10, 20, 30), min_truth=3)
         better = sum(
             1
             for k in (10, 20, 30)
-            if result.precision["ssRec"][k] >= result.precision["ssRec-nu"][k]
+            if result.series["ssRec"][k] >= result.series["ssRec-nu"][k]
         )
         assert better >= 2
 
     def test_ssrec_beats_ctt_and_ucd_at_small_k(self, ytube_small):
         """Fig. 8's claim at the sharpest cutoff."""
-        result = ex.run_fig8(ytube_small, ks=(5,), min_truth=3)
-        p = result.precision
+        result = figures.run_fig8(ytube_small, ks=(5,), min_truth=3)
+        p = result.series
         assert p["ssRec"][5] > p["CTT"][5]
         assert p["ssRec"][5] > p["UCD"][5]
 
     def test_lambda_curve_is_worse_at_extremes(self, ytube_small):
         """Fig. 7's claim: pure long-term (0) and pure short-term (1) are
         both beaten by a mixture."""
-        result = ex.run_fig7(
+        result = figures.run_fig7(
             ytube_small, lambdas=(0.0, 0.3, 0.5, 1.0), ks=(5,), min_truth=3
         )
-        best_mid = max(result.precision[0.3][5], result.precision[0.5][5])
-        assert best_mid >= result.precision[0.0][5]
-        assert best_mid > result.precision[1.0][5]
+        best_mid = max(result.series[0.3][5], result.series[0.5][5])
+        assert best_mid >= result.series[0.0][5]
+        assert best_mid > result.series[1.0][5]
 
 
 class TestBiHMMClaim:
     def test_bihmm_not_worse_than_hmm_on_average(self, ytube_small):
         """Fig. 5's claim, aggregated over state-count groups."""
-        result = ex.run_fig5(ytube_small, max_users=12, max_states=4, min_history=25)
+        result = figures.run_fig5(ytube_small, max_users=12, max_states=4, min_history=25)
         weights = result.users_by_group
         total = sum(weights.values())
         hmm = sum(result.hmm_by_group[g] * weights[g] for g in weights) / total
@@ -119,30 +119,30 @@ class TestTopologyIntegration:
 
 class TestExperimentDrivers:
     def test_table2_rows_monotone_header(self, ytube_small):
-        result = ex.run_table2(ytube_small, block_counts=(1, 4, 8))
+        result = figures.run_table2(ytube_small, block_counts=(1, 4, 8))
         assert result.block_counts == [1, 4, 8]
         assert len(result.max_entities) == 3
         assert result.max_entities[0] >= result.max_entities[-1]
         assert "Table II" in result.to_text()
 
     def test_table3_includes_all_four_datasets(self):
-        result = ex.run_table3(scale="small")
+        result = figures.run_table3(scale="small")
         names = [row["Dataset"] for row in result.rows_]
         assert names == ["YTube", "SynYTube", "MLens", "SynMLens"]
 
     def test_fig6_reports_all_windows(self, ytube_small):
-        result = ex.run_fig6(
+        result = figures.run_fig6(
             ytube_small, window_sizes=(2, 5), lambdas=(0.2, 0.4), ks=(5,), min_truth=3
         )
-        assert set(result.precision) == {2, 5}
+        assert set(result.series) == {2, 5}
         assert "Fig. 6" in result.to_text()
 
     def test_fig10_reports_three_methods(self, ytube_small):
-        result = ex.run_fig10(ytube_small, max_items_per_partition=5, min_truth=2)
-        assert set(result.time_ms) == {"CTT", "UCD", "CPPse-index"}
-        for series in result.time_ms.values():
+        result = figures.run_fig10(ytube_small, max_items_per_partition=5, min_truth=2)
+        assert set(result.series) == {"CTT", "UCD", "CPPse-index"}
+        for series in result.series.values():
             assert set(series) == {1, 2, 3, 4}
 
     def test_fig11_costs_positive(self, ytube_small):
-        result = ex.run_fig11({"YTube": ytube_small}, sizes=(1, 2))
-        assert all(v > 0 for v in result.seconds["YTube"].values())
+        result = figures.run_fig11({"YTube": ytube_small}, sizes=(1, 2))
+        assert all(v > 0 for v in result.series["YTube"].values())

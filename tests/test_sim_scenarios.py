@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.sim import SCENARIOS, ScenarioGenerator
+from repro.datasets.schema import Dataset, Interaction, SocialItem
+from repro.sim import SCENARIOS, Scenario, ScenarioGenerator, StreamEvent
 
 
 @pytest.fixture(scope="module")
@@ -214,3 +216,68 @@ class TestGeneratorValidation:
     def test_catalog_names_stable(self):
         assert ScenarioGenerator.names() == SCENARIOS
         assert len(SCENARIOS) >= 8
+
+
+class TestReplaySteps:
+    """``Scenario.steps`` is the one windowing walk every replay driver
+    (conformance, loadgen, the dedup experiment) consumes."""
+
+    @staticmethod
+    def _scenario(kinds):
+        """A stream whose i-th event is an upload (True) or an interaction
+        (False) about item i; only even item ids are known to the dataset."""
+        items = [SocialItem(i, 0, 0, (), "", float(i)) for i in range(len(kinds))]
+        events = [
+            StreamEvent(float(i), "upload", items[i])
+            if is_upload
+            else StreamEvent(float(i), "interact", Interaction(1, i, 0, 0, float(i)))
+            for i, is_upload in enumerate(kinds)
+        ]
+        dataset = Dataset(name="steps", n_categories=1, items=items[::2])
+        return Scenario("steps", "", 0, dataset, [], events)
+
+    @given(kinds=st.lists(st.booleans(), max_size=60), window_size=st.integers(1, 9))
+    def test_steps_window_the_events_in_order(self, kinds, window_size):
+        scenario = self._scenario(kinds)
+        steps = list(scenario.steps(window_size))
+        # Flattening the write steps reproduces the events, in order.
+        writes = [step for step in steps if step.kind != "serve"]
+        assert [
+            ("upload", step.item) if step.kind == "observe" else ("interact", step.interaction)
+            for step in writes
+        ] == [(event.kind, event.payload) for event in scenario.events]
+        for step in writes:
+            if step.kind == "update":
+                assert step.item is scenario.item_payload(step.interaction)
+        # Every upload lands in exactly one window, in upload order ...
+        windows = [step.window for step in steps if step.kind == "serve"]
+        assert [item for window in windows for item in window] == scenario.uploads()
+        # ... every window but the flushed tail is exactly full ...
+        assert all(len(window) == window_size for window in windows[:-1])
+        assert all(1 <= len(window) <= window_size for window in windows)
+        # ... and a window is served the moment its last upload was
+        # observed: nothing but the observes of the next window's items
+        # and updates sit between two serve steps.
+        served = 0
+        observed = 0
+        for step in steps:
+            if step.kind == "observe":
+                observed += 1
+            elif step.kind == "serve":
+                served += len(step.window)
+                assert served == observed
+        assert served == len(scenario.uploads())
+
+    def test_catalog_scenarios_flush_their_tail(self, catalog):
+        for scenario in catalog.values():
+            served = [
+                item
+                for step in scenario.steps(7)
+                if step.kind == "serve"
+                for item in step.window
+            ]
+            assert served == scenario.uploads(), scenario.name
+
+    def test_window_size_validated(self, catalog):
+        with pytest.raises(ValueError, match="window_size"):
+            next(catalog["baseline"].steps(0))

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.entities.extractor import EntityExtractor
-from repro.stream.batch_topology import MicroBatchBolt, build_batch_recommend_topology
+from repro.stream import MicroBatchBolt, build_recommendation_topology
 from repro.stream.engine import LocalEngine
-from repro.stream.recommend_topology import build_recommendation_topology
 from repro.stream.topology import Bolt, Emitter, Grouping, Spout, TopologyBuilder
 from repro.stream.tuples import StreamTuple
 
@@ -294,7 +293,7 @@ class TestMicroBatchBolt:
             MicroBatchBolt(batch_size=0)
 
 
-class TestBatchRecommendationTopology:
+class TestMicroBatchedTopology:
     class RecordingBatchRecommender:
         def __init__(self):
             self.window_sizes = []
@@ -308,7 +307,7 @@ class TestBatchRecommendationTopology:
         extractor.add_phrases(ytube_small.entity_names)
         recommender = self.RecordingBatchRecommender()
         items = ytube_small.items[:20]
-        topology, sink = build_batch_recommend_topology(
+        topology, sink = build_recommendation_topology(
             items,
             extractor,
             recommender,
@@ -323,36 +322,13 @@ class TestBatchRecommendationTopology:
         # At least one real micro-batch formed (not all singleton flushes).
         assert max(recommender.window_sizes) > 1
 
-    def test_matches_per_item_topology_with_ssrec(
-        self, ytube_small, ytube_stream, fitted_ssrec
-    ):
-        extractor = EntityExtractor()
-        extractor.add_phrases(ytube_small.entity_names)
-        items = ytube_stream.items_in_partition(2)[:15]
-        per_item_topology, per_item_sink = build_recommendation_topology(
-            items, extractor, fitted_ssrec, ytube_small.n_categories, k=5
-        )
-        LocalEngine(per_item_topology).run()
-        batch_topology, batch_sink = build_batch_recommend_topology(
-            items, extractor, fitted_ssrec, ytube_small.n_categories, k=5, batch_size=4
-        )
-        LocalEngine(batch_topology).run()
-        assert batch_sink.results == per_item_sink.results
-
-    def test_invalid_category_count_rejected(self):
-        with pytest.raises(ValueError):
-            build_batch_recommend_topology(
-                [], EntityExtractor(), self.RecordingBatchRecommender(), 0
-            )
-
-    def test_window_size_defaults_to_recommender_config(self, fitted_ssrec):
-        topology, _ = build_batch_recommend_topology(
+    def test_batcher_only_with_batch_size(self, fitted_ssrec):
+        topology, _ = build_recommendation_topology(
             [], EntityExtractor(), fitted_ssrec, n_categories=2
         )
-        batcher = topology.bolts["batcher"].factory()
-        assert batcher._batch_size == fitted_ssrec.config.batch_size
-
-        topology, _ = build_batch_recommend_topology(
-            [], EntityExtractor(), self.RecordingBatchRecommender(), n_categories=2
+        assert "batcher" not in topology.bolts
+        topology, _ = build_recommendation_topology(
+            [], EntityExtractor(), fitted_ssrec, n_categories=2, batch_size=8
         )
-        assert topology.bolts["batcher"].factory()._batch_size == 64
+        assert topology.bolts["batcher"].factory()._batch_size == 8
+        assert topology.bolts["batcher"].parallelism == 2
