@@ -8,6 +8,7 @@ judged on the very outputs that were timed.
 
 from __future__ import annotations
 
+import gc
 import operator
 import time
 from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
@@ -161,14 +162,19 @@ def time_arms(
         clock: the timer (tests substitute a fake).
 
     Who serves first rotates by one arm per round, so no arm
-    systematically inherits caches another has warmed.
+    systematically inherits caches another has warmed.  Garbage is
+    collected once before the first timed round, so no arm pays a
+    full collection of what earlier arms, their construction or the
+    warm-up left behind.
     """
     names = list(arms)
     timings = ArmTimings({n: [] for n in names}, {n: [] for n in names})
     for index, round_input in enumerate(rounds):
-        if warm and index == 0:
-            for name in names:
-                arms[name](round_input)
+        if index == 0:
+            if warm:
+                for name in names:
+                    arms[name](round_input)
+            gc.collect()
         first = index % len(names)
         for name in names[first:] + names[:first]:
             started = clock()

@@ -309,44 +309,38 @@ class PreRankedSelectOp(SelectOp):
 class FanoutOp(ServeOp):
     """Broadcast one query (or window) to every shard of a service.
 
-    The backend dispatch lives here — ``"process"`` routes through the
-    worker pool (shards live in their own OS processes), ``"shmem"``
-    sends each worker one batched message naming the published segment
-    epoch (:meth:`~repro.serve.shmem.ShmemWorkerPool.serve_item` /
-    ``serve_batch``), the in-process backends warm the shared
-    expanded-query cache once and fan out via the service's
+    The one split is pool-backed vs in-process: under ``process`` and
+    ``shmem`` each worker gets one message naming its shard's current
+    published epoch (:meth:`~repro.serve.workers.ShardWorkerPool.serve_item`
+    / ``serve_batch``); the in-process backends fan out via the service's
     sequential-or-threaded runner.  Per-shard results come back in shard
-    order under every backend, so the merge downstream is deterministic.
+    order either way, so the merge downstream is deterministic.
     """
 
     def __init__(self, service) -> None:
         self.service = service
 
+    @staticmethod
+    def _warm(service, items) -> None:
+        # Warm the parent's expansion memo at this stream position under
+        # every backend: the memo is part of the published state, and
+        # expansions are memoized at their *first* computation — skipping
+        # the warm would let a republished copy recompute an old item's
+        # expansion at a later expander state, silently breaking parity.
+        for item in items:
+            service.scorer.expanded_query(item)
+
     def run_item(self, ctx: ExecContext) -> None:
         service = self.service
         item, k = ctx.items[0], ctx.k
-        if service.backend == "process":
+        self._warm(service, ctx.items)
+        if service.pooled:
             from repro.obs.trace import trace_context
 
-            ctx.per_shard = service._ensure_pool().map(
-                "recommend", item, k, trace_ctx=trace_context()
-            )
-            return
-        if service.backend == "shmem":
-            from repro.obs.trace import trace_context
-
-            # Warm the parent's expansion memo at this stream position,
-            # exactly as the in-process backends do: the memo is part of
-            # the published state, and expansions are memoized at their
-            # *first* computation — skipping the warm here would let a
-            # republished segment recompute an old item's expansion at a
-            # later expander state, silently breaking bit-parity.
-            service.scorer.expanded_query(item)
             ctx.per_shard = service._ensure_pool().serve_item(
                 item, k, trace_ctx=trace_context()
             )
             return
-        service.scorer.expanded_query(item)
         ctx.per_shard = service._fan_out(
             self._traced(lambda shard: shard.recommend(item, k))
         )
@@ -354,24 +348,14 @@ class FanoutOp(ServeOp):
     def run_batch(self, ctx: ExecContext) -> None:
         service = self.service
         items, k = ctx.items, ctx.k
-        if service.backend == "process":
+        self._warm(service, items)
+        if service.pooled:
             from repro.obs.trace import trace_context
 
-            ctx.per_shard = service._ensure_pool().map(
-                "recommend_batch", items, k, trace_ctx=trace_context()
-            )
-            return
-        if service.backend == "shmem":
-            from repro.obs.trace import trace_context
-
-            for item in items:  # warm the published memo (see run_item)
-                service.scorer.expanded_query(item)
             ctx.per_shard = service._ensure_pool().serve_batch(
                 items, k, trace_ctx=trace_context()
             )
             return
-        for item in items:
-            service.scorer.expanded_query(item)
         ctx.per_shard = service._fan_out(
             self._traced(lambda shard: shard.recommend_batch(items, k))
         )

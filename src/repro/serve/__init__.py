@@ -10,15 +10,17 @@ stack:
   matcher/CPPse-index over a user slice with shard-local Algorithm-2
   maintenance;
 - :mod:`repro.serve.service` — :class:`ShardedRecommender`, the
-  fan-out/merge facade (sequential, thread-pool or process backend) with
-  per-shard latency/candidate metrics;
+  fan-out/merge facade (sequential, thread-pool, process or shmem
+  backend) over shards the parent always owns, with per-shard
+  latency/candidate metrics;
 - :mod:`repro.serve.workers` — :class:`ShardWorkerPool`, one spawn-safe
-  OS process per shard (queue transport, collect/restart lifecycle) for
-  the process backend;
-- :mod:`repro.serve.shmem` — :class:`ShmemWorkerPool`, the shared-memory
-  fan-out: shard state published once into epoch-versioned segments,
-  stateless workers attaching zero-copy read-only views, one batched
-  message per shard per serve window;
+  stateless worker process per shard for the ``process`` and ``shmem``
+  backends: one worker loop, one message per shard per serve window,
+  workers that exit when their owner dies;
+- :mod:`repro.serve.shmem` — the published state those workers read:
+  epoch-versioned pickle-5 copies of the parent's shards, in named
+  shared-memory segments (``shmem``) or shipped as bytes (``process``),
+  decoded zero-copy into read-only views by one reader;
 - :mod:`repro.serve.snapshot` — versioned save/load of the full trained
   state so a server warm-starts without retraining;
 - :mod:`repro.serve.protocol` — the length-prefixed, versioned JSON
@@ -53,7 +55,6 @@ from repro.serve.shmem import (
     SegmentManifest,
     ShardPublisher,
     ShmemError,
-    ShmemWorkerPool,
     attach_state,
     live_segment_names,
     publish_state,
@@ -97,7 +98,6 @@ __all__ = [
     "SegmentManifest",
     "ShardPublisher",
     "ShmemError",
-    "ShmemWorkerPool",
     "attach_state",
     "live_segment_names",
     "publish_state",

@@ -35,21 +35,16 @@ shard, which runs its own Algorithm-2 maintenance cadence.
 
 **Backends.** ``SsRecConfig.serve_backend`` (or the ``backend`` argument)
 selects how the fan-out runs: ``"sequential"`` in the calling thread,
-``"thread"`` on a ``ThreadPoolExecutor`` (GIL-bound), ``"process"``
-with every shard hosted in its own OS process by a
-:class:`~repro.serve.workers.ShardWorkerPool` — shards shipped through
-the snapshot pickle path, requests/replies over queues — or ``"shmem"``
-with stateless worker processes attaching zero-copy shared-memory views
-of the shard state (:class:`~repro.serve.shmem.ShmemWorkerPool`).
-Results are bit-identical across all backends (asserted by the
-conformance suite and ``bench_shard_scaling``); only the cost profile
-differs.  Authority differs by backend: under ``"process"`` the worker
-copies are authoritative — every mutation is forwarded to them in order,
-and the parent pulls the live shard state back before snapshots and on
-:meth:`close` — while under ``"shmem"`` the *parent's* shards stay
-authoritative, mutations apply locally at zero IPC cost, and dirty
-shards are republished (epoch-bumped copy-on-publish) at the next serve
-window.
+``"thread"`` on a ``ThreadPoolExecutor`` (GIL-bound), or one worker
+process per shard from a :class:`~repro.serve.workers.ShardWorkerPool`
+— ``"shmem"`` maps each shard's published state zero-copy from a
+shared-memory segment, ``"process"`` receives the same bytes over its
+request queue.  Results are bit-identical across all backends (asserted
+by the conformance suite and ``bench_shard_scaling``); only the cost
+profile differs.  Under every backend the *parent's* shards are the
+authoritative state: mutations apply to them at zero IPC cost, and
+dirty shards are republished (epoch-bumped copy-on-publish) at the next
+serve window.
 
 Typical usage::
 
@@ -77,6 +72,7 @@ from repro.core.ssrec import SsRecRecommender
 from repro.datasets.schema import Dataset, Interaction, SocialItem
 from repro.serve.shard import RecommenderShard
 from repro.serve.sharding import ShardPlan, UserSharder, build_shard_blocks
+from repro.serve.workers import POOL_BACKENDS, ShardWorkerPool
 
 
 class ShardedRecommender:
@@ -90,14 +86,12 @@ class ShardedRecommender:
         plan: the user partition; one shard is built per plan shard.
         use_index: build a shard-local CPPse-index per shard (defaults to
             the trained recommender's mode).
-        workers: fan-out threads of the thread backend; 0/1 = sequential.
-            Defaults to the config's ``serve_workers``.  The process
-            backend always runs one worker process per shard.
+        workers: fan-out threads of the thread backend (0 or 1 = one
+            per shard).  Defaults to the config's ``serve_workers``.  The
+            multi-process backends always run one worker process per shard.
         backend: fan-out backend (``"sequential"``, ``"thread"``,
             ``"process"`` or ``"shmem"``); defaults to the config's
             ``serve_backend``.
-            For backward compatibility, ``workers > 1`` upgrades the
-            default ``"sequential"`` to ``"thread"``.
     """
 
     def __init__(
@@ -117,17 +111,11 @@ class ShardedRecommender:
         self.workers = (
             self.config.serve_workers if workers is None else max(0, int(workers))
         )
-        explicit_backend = backend is not None
         backend = self.config.serve_backend if backend is None else str(backend)
         if backend not in SERVE_BACKENDS:
             raise ValueError(
                 f"backend must be one of {SERVE_BACKENDS}, got {backend!r}"
             )
-        if backend == "sequential" and not explicit_backend and self.workers > 1:
-            # Legacy spelling: before serve_backend existed, workers > 1
-            # *meant* the thread backend.  An explicitly requested
-            # "sequential" is honored regardless of workers.
-            backend = "thread"
         self.backend = backend
         self.scorer = trained.scorer
         self.profiles = trained.profiles  # the global (all-shard) view
@@ -166,7 +154,7 @@ class ShardedRecommender:
                 )
             )
         self._executor: ThreadPoolExecutor | None = None
-        self._pool = None  # ShardWorkerPool, started lazily (process backend)
+        self._pool = None  # ShardWorkerPool, started lazily (process/shmem)
         # Execution-plan state (repro.exec): the compiled fan-out/merge
         # pipeline (derived from ``config``) and the mutation epoch that
         # invalidates memoized results.
@@ -234,36 +222,27 @@ class ShardedRecommender:
     # ------------------------------------------------------------------
     # Fan-out plumbing
     # ------------------------------------------------------------------
-    def _pool_active(self) -> bool:
-        return self._pool is not None
+    @property
+    def pooled(self) -> bool:
+        """Worker processes serve the fan-out (``process``/``shmem``)."""
+        return self.backend in POOL_BACKENDS
 
     def _ensure_pool(self):
         """Start the worker processes on first use (process/shmem backends).
 
         Lazy start keeps construction cheap and lets a freshly unpickled
         service (snapshots drop live pools) respawn transparently on its
-        next operation.  Authority then depends on the backend: process
-        workers hold the single authoritative copies (every mutation
-        routes to them), shmem workers are stateless readers of segments
-        the parent republishes.
+        next operation.  The backend name picks the pool's transport.
         """
         if self._pool is None:
-            if self.backend == "shmem":
-                from repro.serve.shmem import ShmemWorkerPool  # local: spawn-safe
-
-                self._pool = ShmemWorkerPool(self.shards)
-            else:
-                from repro.serve.workers import ShardWorkerPool  # local: spawn-safe
-
-                self._pool = ShardWorkerPool(self.shards)
+            self._pool = ShardWorkerPool(self.shards, backend=self.backend)
         return self._pool
 
-    def _parent_authoritative(self) -> bool:
-        """True when the parent's shard objects are the source of truth
-        even while a pool is active (the shmem backend)."""
-        return self._pool is None or getattr(
-            self._pool, "parent_authoritative", False
-        )
+    def _invalidate(self, index: int | None = None) -> None:
+        """Shard ``index`` (or every shard) moved: republish before the
+        workers' next serve window."""
+        if self._pool is not None:
+            self._pool.invalidate(index)
 
     def _fan_out(self, call: Callable[[RecommenderShard], object]) -> list:
         """Run ``call`` on every shard; threaded under the thread backend.
@@ -282,8 +261,7 @@ class ShardedRecommender:
         return [call(shard) for shard in self.shards]
 
     # Thread/process pools cannot be pickled/deepcopied; drop and rebuild
-    # lazily.  ``save()`` collects worker state first, so pickled state is
-    # never stale.
+    # lazily.  The parent's shards are the whole state, so nothing is lost.
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["_executor"] = None
@@ -291,45 +269,27 @@ class ShardedRecommender:
         state["_compiled"] = None  # recompiles lazily from config (cold memo)
         return state
 
-    def _sync_from_workers(self) -> None:
-        """Pull the authoritative shard objects back from the workers.
-
-        Replaces the parent's stale shard mirrors and re-aliases the
-        global profile store to the collected profile objects, restoring
-        the shared-object invariant the in-process backends maintain
-        (an update through either view is seen by both).
-        """
-        if self._pool is None or self._parent_authoritative():
-            return  # shmem: the parent never went stale
-        self.shards = self._pool.collect_all()
-        for shard in self.shards:
-            for profile in shard.profiles:
-                self.profiles.add(profile)
-
     def restart_workers(self) -> None:
         """Rolling mid-stream restart of every shard worker process.
 
-        Each worker's live state is collected and a fresh process resumes
-        from it, bit-compatibly — the conformance harness replays this to
-        prove restarts are invisible in results.  No-op on the in-process
-        backends (they have no workers to restart).  Shmem workers are
-        stateless, so their restart is a plain respawn — the next serve
-        window re-attaches the current epoch.
+        Workers hold nothing the parent lacks, so each is stopped and
+        respawned; the next serve window hands the fresh processes the
+        current epoch — the conformance harness replays this to prove
+        restarts are invisible in results.  No-op on the in-process
+        backends (they have no workers to restart).
         """
-        if self.backend in ("process", "shmem"):
+        if self.pooled:
             self._ensure_pool().restart_all()
 
     def close(self) -> None:
         """Release fan-out resources (thread pool or worker processes).
 
-        The service stays usable afterwards — the process backend first
-        collects the live shard state back into the parent, and either
-        pool is rebuilt lazily on the next call.  Use this (or the
-        context-manager form) whenever a worker-enabled service is
-        discarded, so threads and processes are always released.
+        The service stays usable afterwards: either pool is rebuilt
+        lazily on the next call.  Use this (or the context-manager form)
+        whenever a worker-enabled service is discarded, so threads and
+        processes are always released.
         """
         if self._pool is not None:
-            self._sync_from_workers()
             self._pool.close()
             self._pool = None
         if self._executor is not None:
@@ -377,10 +337,8 @@ class ShardedRecommender:
         sharding at the *shard* level — the fan-out/merge pipeline is
         scoring-agnostic, each shard serves its slice through the fused
         kernels (or falls back, per shard, when they are unavailable) —
-        so it is pushed to every shard.  That reaches in-process shards
-        immediately; the process/shmem backends pickle shard state at
-        pool start, so configure ``scoring`` *before* the first serve to
-        affect worker processes.
+        so it is pushed to every shard, and worker processes see it from
+        the next serve window on.
         """
         from repro.exec import configure
 
@@ -392,6 +350,7 @@ class ShardedRecommender:
         if "scoring" in axes:
             for shard in self.shards:
                 shard.set_scoring(self.config.scoring)
+            self._invalidate()
         return self
 
     def stats(self) -> dict:
@@ -417,32 +376,12 @@ class ShardedRecommender:
     def observe_item(self, item: SocialItem) -> None:
         """Register a newly streamed item once, in the shared model state.
 
-        Under the process backend the same mutation is also forwarded to
-        every worker's copy of the shared state (with the parent's
-        entity annotation shipped along, so workers need no extractor);
-        request ordering per worker matches the in-process call order, so
-        the worker state evolves bit-identically.  Under the shmem
-        backend the parent mutation *is* the authoritative one — no
-        round trips; every shard is marked dirty so the next serve
-        window republishes the advanced shared state.
+        The parent's mutation is the only one; every shard is marked
+        dirty (the shared scorer state moved), so worker processes see
+        the advanced state from the next serve window on.
         """
-        if self.backend == "process":
-            # Spawn before the parent-side mutation: workers must start
-            # from the pre-observe state, or the first observed item would
-            # be double-counted in their shipped scorer copies.
-            pool = self._ensure_pool()
-        mentions = self.trained.observe_item(item)
-        if self.backend == "process":
-            pool.map(
-                "observe",
-                int(item.producer),
-                int(item.item_id),
-                int(item.category),
-                mentions,
-                tuple(item.entities),
-            )
-        elif self.backend == "shmem" and self._pool_active():
-            self._pool.invalidate()  # shared scorer state moved: all stale
+        self.trained.observe_item(item)
+        self._invalidate()
 
     #: ``observe`` is the serving-layer name for the same operation.
     observe = observe_item
@@ -452,11 +391,6 @@ class ShardedRecommender:
         user_id = int(interaction.user_id)
         shard_id = self.plan.shard_of(user_id)
         self.exec_epoch += 1  # scores may move: orphan memoized results
-        if self.backend == "process":
-            # The worker's shard store records (and creates) the profile;
-            # the parent's mirror is re-aliased on the next state sync.
-            self._ensure_pool().call(shard_id, "update", interaction, item)
-            return
         shard = self.shards[shard_id]
         # Keep the global store and the shard store aliased to one object,
         # also for users joining mid-stream.
@@ -467,18 +401,18 @@ class ShardedRecommender:
         # The shard store recorded the event on the shared profile object;
         # mark the global view dirty too so any mirror of it stays fresh.
         self.profiles.touch()
-        if self.backend == "shmem" and self._pool_active():
-            self._pool.invalidate(shard_id)  # republish this shard only
+        self._invalidate(shard_id)  # republish this shard only
 
     def run_maintenance(self) -> int:
         """Flush every shard's pending Algorithm-2 work; returns profiles
         refreshed across shards."""
         self.exec_epoch += 1  # Algorithm-2 flush: orphan memoized results
-        if self.backend == "process" and self._pool_active():
-            return sum(self._pool.map("maintenance"))
-        refreshed = sum(shard.run_maintenance() for shard in self.shards)
-        if self.backend == "shmem" and self._pool_active() and refreshed:
-            self._pool.invalidate()  # index state moved: republish
+        refreshed = 0
+        for index, shard in enumerate(self.shards):
+            flushed = shard.run_maintenance()
+            if flushed:
+                self._invalidate(index)  # index state moved: republish
+            refreshed += flushed
         return refreshed
 
     # ------------------------------------------------------------------
@@ -490,30 +424,25 @@ class ShardedRecommender:
 
     @property
     def n_users(self) -> int:
-        if self._pool_active() and not self._parent_authoritative():
-            return sum(self._pool.map("n_users"))
         return sum(shard.n_users for shard in self.shards)
 
     def metrics(self) -> list[dict]:
         """One summary row per shard (latency percentiles, candidate and
-        maintenance counts), plus the user count.  With live worker
-        processes the rows come from the workers — serving happens there,
-        so that is where the counters accumulate.  Under the shmem split
-        (serving in workers, maintenance in the parent) each row combines
-        the worker's serve counters with the parent's maintenance and
-        user counts."""
-        if self._pool_active():
-            rows = self._pool.map("metrics")
-            if self._parent_authoritative():
-                for row, shard in zip(rows, self.shards):
-                    row["users"] = shard.n_users
-                    row["maintenance_runs"] = shard.metrics.maintenance_runs
-                    row["profiles_refreshed"] = shard.metrics.profiles_refreshed
-            return rows
+        maintenance counts), plus the user count.  Serve counters come
+        from wherever the shard serves — its worker process, when a pool
+        is live; maintenance and user counts always from the parent's
+        authoritative shard."""
+        served = (
+            self._pool.map("metrics")
+            if self._pool is not None
+            else [shard.metrics.as_dict() for shard in self.shards]
+        )
         rows = []
-        for shard in self.shards:
+        for shard, serve_row in zip(self.shards, served):
             row = {"shard_id": shard.shard_id, "users": shard.n_users}
-            row.update(shard.metrics.as_dict())
+            row.update(serve_row)
+            row["maintenance_runs"] = shard.metrics.maintenance_runs
+            row["profiles_refreshed"] = shard.metrics.profiles_refreshed
             rows.append(row)
         return rows
 
@@ -521,28 +450,22 @@ class ShardedRecommender:
         """Every shard's telemetry merged into one
         :class:`~repro.obs.metrics.MetricsRegistry`.
 
-        With live worker processes each worker dumps its registry over
-        the reply queue (the ``obs`` op) and the dumps merge here; the
-        in-process backends read the shard objects directly.  Per-shard
-        ``shard=...`` labels keep the merged view lossless.
+        With live worker processes each worker dumps its serve-side
+        registry over the reply queue (the ``obs`` op) and the pool's
+        publisher adds segment/epoch telemetry; the parent's shards add
+        maintenance counters — counters sum, and the parent's fresher
+        gauges win by merge order.  Per-shard ``shard=...`` labels keep
+        the merged view lossless.
         """
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-        if self._pool_active():
+        if self._pool is not None:
             for dump in self._pool.map("obs"):
                 registry.merge(MetricsRegistry.from_dict(dump))
-            if self._parent_authoritative():
-                # Shmem split: serve counters live in the workers (merged
-                # above), maintenance counters in the parent's shards —
-                # counters sum, and the parent's fresher gauges win by
-                # merge order.  The publisher adds segment/epoch telemetry.
-                for shard in self.shards:
-                    registry.merge(shard.obs_registry())
-                registry.merge(self._pool.publisher.obs_registry())
-        else:
-            for shard in self.shards:
-                registry.merge(shard.obs_registry())
+            registry.merge(self._pool.publisher.obs_registry())
+        for shard in self.shards:
+            registry.merge(shard.obs_registry())
         if self._compiled is not None:
             # Plan-level stage telemetry (the memo stage's collapse and
             # eviction counters) lives above the fan-out, in the parent's
@@ -558,13 +481,9 @@ class ShardedRecommender:
     # ------------------------------------------------------------------
     def save(self, path) -> None:
         """Write a warm-startable snapshot directory (see
-        :mod:`repro.serve.snapshot`).
-
-        With live worker processes the authoritative shard state is
-        collected back first, so the snapshot is never stale."""
+        :mod:`repro.serve.snapshot`)."""
         from repro.serve.snapshot import save_snapshot
 
-        self._sync_from_workers()
         save_snapshot(self, path)
 
     @classmethod

@@ -259,8 +259,6 @@ class ConformanceRunner:
             the batched paths serve; per-item paths serve the same items
             one by one).
         n_shards: shard count of the sharded paths.
-        workers: fan-out threads of the sharded paths (0 = sequential; the
-            merge is deterministic either way).
         fit_seed: model-init seed of the one shared ``fit``.
         config: base configuration; the scenario's ``maintenance_interval``
             is applied on top.
@@ -270,9 +268,9 @@ class ConformanceRunner:
             wire path takes a server-side snapshot + owner swap — both
             warm starts must continue bit-compatibly mid-stream.
         restart_window: before serving this window index, the process
-            path's shard workers go through a rolling restart (collect →
-            stop → respawn) — the respawned workers must continue
-            bit-compatibly mid-stream.
+            path's shard workers go through a rolling restart (stop →
+            respawn → receive the current epoch) — the respawned workers
+            must continue bit-compatibly mid-stream.
     """
 
     def __init__(
@@ -280,7 +278,6 @@ class ConformanceRunner:
         k: int = 10,
         window_size: int = 8,
         n_shards: int = 3,
-        workers: int = 0,
         fit_seed: int = 1,
         config: SsRecConfig | None = None,
         paths: tuple[str, ...] | None = None,
@@ -303,7 +300,6 @@ class ConformanceRunner:
         self.k = int(k)
         self.window_size = int(window_size)
         self.n_shards = int(n_shards)
-        self.workers = int(workers)
         self.fit_seed = int(fit_seed)
         self.config = config
         self.paths = tuple(name for name in catalog if name in paths)
@@ -337,16 +333,12 @@ class ConformanceRunner:
                 scoring=plan.scoring, dedup=plan.dedup
             )
             if plan.is_sharded:
-                # A "sequential" placement is passed as the default (None)
-                # so the legacy workers>1 thread upgrade keeps applying.
-                backend = plan.placement.backend
                 recommender = ShardedRecommender.from_trained(
                     replica,
                     n_shards=self.n_shards,
                     strategy=plan.placement.strategy,
                     use_index=plan.uses_index,
-                    workers=self.workers,
-                    backend=None if backend == "sequential" else backend,
+                    backend=plan.placement.backend,
                 )
             elif plan.is_wire:
                 if plan.uses_index:
@@ -435,9 +427,9 @@ class ConformanceRunner:
                 name == "sharded-scan-process"
                 and window_index == self.restart_window
             ):
-                # Rolling worker restart: every shard worker is collected,
-                # stopped, and respawned from its own pickled state — the
-                # stream continues through the fresh processes.
+                # Rolling worker restart: every shard worker is stopped
+                # and respawned stateless; the next window hands it the
+                # current epoch and the stream continues through it.
                 state.recommender.restart_workers()
                 state.report.worker_restarts += 1
             if (
@@ -534,5 +526,5 @@ class ConformanceRunner:
         target = snapshot_dir / f"{state.name}-w"
         state.recommender.save(target)
         state.recommender.close()
-        state.recommender = ShardedRecommender.load(target, workers=self.workers)
+        state.recommender = ShardedRecommender.load(target)
         state.report.snapshot_reloads += 1

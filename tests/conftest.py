@@ -6,6 +6,7 @@ session-scoped fixtures (mutating tests build their own instances).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import pytest
@@ -41,6 +42,32 @@ def _no_leaked_segments():
         if name.startswith(mine) and name not in before
     ]
     assert not leaked, f"test leaked shared-memory segments: {leaked}"
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_workers():
+    """Suite-wide guard: no test leaves a shard worker process running.
+
+    Every ``ShardWorkerPool`` worker is a ``multiprocessing`` child named
+    ``repro-*``; a service that is never closed leaves its workers alive
+    until the interpreter exits — the leak that ends a CI job with
+    processes still running.  Workers that predate the test (a
+    module-scoped fixture's warmed pool) are tolerated; any other live
+    one fails the test and is reaped, so one leak cannot cascade into
+    the tests after it.
+    """
+    before = {child.pid for child in multiprocessing.active_children()}
+    yield
+    leaked = [
+        child
+        for child in multiprocessing.active_children()
+        if child.name.startswith("repro-") and child.pid not in before
+    ]
+    for child in leaked:
+        child.terminate()
+    for child in leaked:
+        child.join(timeout=10)
+    assert not leaked, f"test left worker processes running: {leaked}"
 
 
 @pytest.fixture(scope="session")

@@ -4,7 +4,7 @@ One served recommend against a sharded **process-backend** server must
 assemble a single trace whose spans cross every boundary in the stack:
 the socket front door (``server.request`` → ``server.coalesce`` →
 ``server.batch``), the exec operator pipeline (``exec.FanoutOp`` …
-``exec.MergeOp``), the worker processes (``worker.recommend_batch`` per
+``exec.MergeOp``), the worker processes (``worker.serve`` per
 shard) and the shard internals (``shard.scan``) — one tree, one trace
 id, across process boundaries.  And tracing must be purely
 observational: the traced ranked list is bit-identical to the untraced
@@ -35,6 +35,7 @@ def served_sharded(fitted_ssrec):
         copy.deepcopy(fitted_ssrec), n_shards=2, strategy="hash",
         use_index=False, backend="process",
     )
+    sharded._ensure_pool()  # workers predate the per-test leak guard
     server = RecommenderServer(
         sharded, coalesce=True, max_delay=0.01, slow_request_seconds=0.0
     )
@@ -64,7 +65,7 @@ class TestCrossProcessTrace:
         assert {"server.request", "server.coalesce", "server.batch"} <= names
         assert "exec.FanoutOp" in names
         assert "exec.MergeOp" in names
-        assert "worker.recommend_batch" in names  # crossed the process boundary
+        assert "worker.serve" in names  # crossed the process boundary
         assert "shard.scan" in names              # inside the worker
 
         # One tree: the request root is the only parentless span, and
@@ -74,7 +75,7 @@ class TestCrossProcessTrace:
         worker_shards = {
             entry["tags"]["shard"]
             for entry in trace["spans"]
-            if entry["name"] == "worker.recommend_batch"
+            if entry["name"] == "worker.serve"
         }
         assert worker_shards == {"0", "1"}
 

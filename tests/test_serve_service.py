@@ -80,7 +80,7 @@ class TestStaticParity:
         single = _fresh(ytube_small, ytube_stream, True)
         twin = _fresh(ytube_small, ytube_stream, True)
         with ShardedRecommender.from_trained(
-            twin, n_shards=3, strategy="block", workers=4
+            twin, n_shards=3, strategy="block", workers=4, backend="thread"
         ) as service:
             items = ytube_stream.items_in_partition(2)[:10]
             assert all(

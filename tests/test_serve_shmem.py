@@ -15,14 +15,13 @@ import copy
 import numpy as np
 import pytest
 
-from repro.serve import ShardedRecommender
+from repro.serve import ShardedRecommender, ShardWorkerPool
 from repro.serve.shmem import (
     SEGMENT_PREFIX,
     Attachment,
     SegmentManifest,
     ShardPublisher,
     ShmemError,
-    ShmemWorkerPool,
     attach_state,
     live_segment_names,
     publish_state,
@@ -264,22 +263,29 @@ class TestShmemParity:
             assert shmem.recommend(item, 6) == twin.recommend(item, 6)
 
     def test_worker_restart_reattaches_bit_identically(
-        self, shmem_pair, stream_slice
+        self, fitted_ssrec, stream_slice
     ):
-        shmem, twin = shmem_pair
         items, _, _ = stream_slice
-        before = shmem.recommend_batch(items, 5)
-        shmem.restart_workers()
-        assert shmem.recommend_batch(items, 5) == before
-        assert before == twin.recommend_batch(items, 5)
+        twin = ShardedRecommender.from_trained(
+            copy.deepcopy(fitted_ssrec), n_shards=2, strategy="hash",
+            use_index=False, backend="sequential",
+        )
+        with ShardedRecommender.from_trained(
+            copy.deepcopy(fitted_ssrec), n_shards=2, strategy="hash",
+            use_index=False, backend="shmem",
+        ) as shmem:
+            before = shmem.recommend_batch(items, 5)
+            shmem.restart_workers()
+            assert shmem.recommend_batch(items, 5) == before
+            assert before == twin.recommend_batch(items, 5)
 
     def test_parent_stays_authoritative(self, shmem_pair):
         shmem, twin = shmem_pair
-        # n_users reads the parent's shards even while the pool is live.
+        # n_users reads the parent's shards even while the pool is live,
+        # and the pool serves those very objects.
         assert shmem._pool is not None
         assert shmem.n_users == twin.n_users
-        assert shmem._pool.collect_all() is not shmem.shards
-        assert shmem._pool.collect_all() == shmem.shards
+        assert all(a is b for a, b in zip(shmem._pool.shards, shmem.shards))
 
     def test_metrics_combine_worker_and_parent_counters(self, shmem_pair):
         shmem, _ = shmem_pair
@@ -484,14 +490,16 @@ class TestShmemSnapshot:
 class TestShmemPoolValidation:
     def test_pool_requires_shards(self):
         with pytest.raises(ValueError, match="at least one shard"):
-            ShmemWorkerPool([])
+            ShardWorkerPool([])
 
     def test_pool_rejects_unknown_start_method(self, fitted_ssrec):
         service = ShardedRecommender.from_trained(
             fitted_ssrec, n_shards=2, use_index=False
         )
         with pytest.raises(ValueError, match="start_method"):
-            ShmemWorkerPool(service.shards, start_method="fork")
+            ShardWorkerPool(service.shards, start_method="fork")
+        with pytest.raises(ValueError, match="backend must be one of"):
+            ShardWorkerPool(service.shards, backend="thread")
 
     def test_attachment_graveyard_default_empty(self):
         assert isinstance(Attachment.__dataclass_fields__, dict)

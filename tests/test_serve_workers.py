@@ -2,8 +2,9 @@
 
 Spawning a worker process is expensive (a fresh interpreter imports
 NumPy), so the parity-focused tests share one module-scoped process
-service and its sequential twin; lifecycle tests that must start/stop
-their own pools keep the shard count at 2.
+service (warmed at setup, so its workers predate the suite-wide leaked-
+worker guard's per-test snapshot) and its sequential twin; lifecycle
+tests that must start/stop their own pools keep the shard count at 2.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import pytest
 
 from repro.core.config import SsRecConfig
 from repro.serve import ShardedRecommender, ShardWorkerError, ShardWorkerPool
-from repro.serve.workers import _apply_op
+from repro.serve.workers import _ShardReader
 
 
 @pytest.fixture(scope="module")
@@ -29,11 +30,13 @@ def stream_slice(ytube_small, ytube_stream):
 
 @pytest.fixture(scope="module")
 def process_service(fitted_ssrec):
-    """One process-backed service over a deepcopy of the shared model."""
+    """One process-backed service over a deepcopy of the shared model,
+    its workers already running."""
     trained = copy.deepcopy(fitted_ssrec)
     service = ShardedRecommender.from_trained(
         trained, n_shards=2, strategy="hash", use_index=False, backend="process"
     )
+    service._ensure_pool()
     yield service
     service.close()
 
@@ -58,12 +61,18 @@ class TestBackendSelection:
         with pytest.raises(ValueError, match="serve_backend must be one of"):
             SsRecConfig(serve_backend="quantum")
 
-    def test_legacy_workers_imply_thread_backend(self, fitted_ssrec):
+    def test_backend_comes_only_from_backend_or_config(self, fitted_ssrec):
+        # ``workers`` sizes the thread pool; it never picks the backend.
         service = ShardedRecommender.from_trained(
             fitted_ssrec, n_shards=2, workers=2
         )
-        assert service.backend == "thread"
-        service.close()
+        assert service.backend == "sequential"
+        assert service.workers == 2
+        threaded = ShardedRecommender.from_trained(
+            fitted_ssrec, n_shards=2, workers=2, backend="thread"
+        )
+        assert threaded.backend == "thread"
+        threaded.close()
 
     def test_default_backend_is_sequential(self, fitted_ssrec):
         service = ShardedRecommender.from_trained(fitted_ssrec, n_shards=2)
@@ -104,13 +113,25 @@ class TestProcessParity:
         )
 
     def test_worker_restart_continues_bit_identically(
-        self, process_service, sequential_twin, stream_slice
+        self, fitted_ssrec, stream_slice
     ):
-        items, _, _ = stream_slice
-        before = process_service.recommend_batch(items, 5)
-        process_service.restart_workers()
-        assert process_service.recommend_batch(items, 5) == before
-        assert before == sequential_twin.recommend_batch(items, 5)
+        items, interactions, item_by_id = stream_slice
+        twin = ShardedRecommender.from_trained(
+            copy.deepcopy(fitted_ssrec), n_shards=2, strategy="hash",
+            use_index=False, backend="sequential",
+        )
+        with ShardedRecommender.from_trained(
+            copy.deepcopy(fitted_ssrec), n_shards=2, strategy="hash",
+            use_index=False, backend="process",
+        ) as service:
+            for inter in interactions[:6]:
+                service.update(inter, item_by_id.get(inter.item_id))
+                twin.update(inter, item_by_id.get(inter.item_id))
+            before = service.recommend_batch(items, 5)
+            service.restart_workers()
+            # The fresh workers received the current epoch's bytes.
+            assert service.recommend_batch(items, 5) == before
+            assert before == twin.recommend_batch(items, 5)
 
     def test_metrics_come_from_workers(self, process_service):
         rows = process_service.metrics()
@@ -121,11 +142,50 @@ class TestProcessParity:
     def test_n_users_counts_worker_side_joins(
         self, process_service, sequential_twin
     ):
+        # Users joining mid-stream join the parent's shards; n_users reads
+        # those even while the pool is live.
+        assert process_service._pool is not None
         assert process_service.n_users == sequential_twin.n_users
 
 
+class TestConfigureReachesWorkers:
+    @pytest.mark.parametrize("backend", ["process", "shmem"])
+    def test_configure_scoring_reaches_live_workers(
+        self, fitted_ssrec, stream_slice, backend
+    ):
+        """``configure(scoring=...)`` after the first serve dirties every
+        shard, so the very next window runs in the new mode worker-side —
+        seen in the workers' own obs dumps (without numba, as the native
+        fallback counter)."""
+        from repro.core.kernels import native_ready
+        from repro.obs import MetricsRegistry
+
+        if native_ready():
+            pytest.skip("the fallback counter only moves without numba")
+        items, _, _ = stream_slice
+        with ShardedRecommender.from_trained(
+            copy.deepcopy(fitted_ssrec), n_shards=2, strategy="hash",
+            use_index=False, backend=backend,
+        ) as service:
+            expected = service.recommend(items[0], 5)
+            pool = service._pool
+
+            def worker_fallbacks() -> float:
+                return sum(
+                    counter.value
+                    for dump in pool.map("obs")
+                    for counter in MetricsRegistry.from_dict(dump).counters()
+                    if counter.name == "native.fallbacks"
+                )
+
+            assert worker_fallbacks() == 0
+            service.configure(scoring="native")
+            assert service.recommend(items[0], 5) == expected
+            assert worker_fallbacks() == 2  # one per worker, this window
+
+
 class TestPoolLifecycle:
-    def test_close_collects_worker_state(self, fitted_ssrec, ytube_stream):
+    def test_close_keeps_the_parent_state(self, fitted_ssrec, ytube_stream):
         trained = copy.deepcopy(fitted_ssrec)
         items = ytube_stream.items_in_partition(2)[:4]
         service = ShardedRecommender.from_trained(
@@ -134,8 +194,8 @@ class TestPoolLifecycle:
         expected = [service.recommend(item, 5) for item in items]
         service.close()
         assert service._pool is None
-        # The collected parent-side state serves identically (a fresh pool
-        # respawns lazily from it on the next call).
+        # The parent's shards are the whole state: a fresh pool respawns
+        # lazily from them on the next call and serves identically.
         assert [service.recommend(item, 5) for item in items] == expected
         service.close()
 
@@ -184,34 +244,33 @@ class TestPoolLifecycle:
         pool._workers[0].process.terminate()
         pool._workers[0].process.join(timeout=10)
         with pytest.raises(ShardWorkerError, match="died"):
-            pool.call(0, "n_users")
+            pool.call(0, "ping")
         assert not pool.alive
-        pool.close()
-        service._pool = None  # closed manually; nothing left to collect
+        service.close()
 
-    def test_collect_all_with_dead_worker_fails_fast(self, fitted_ssrec):
-        """Regression: collect_all used to block on the raw reply queue,
-        so a worker dying mid-collection hung the parent for the full
-        reply timeout (or forever when the worker died *inside* a queue
-        write, leaving a torn frame no timeout-get could see).  The pump
-        thread plus liveness polling must surface the death in bounded
-        time, and close() must not hang on the dead worker either."""
+    def test_map_with_dead_worker_fails_fast(self, fitted_ssrec):
+        """Regression: a fan-out collection used to block on the raw
+        reply queue, so a worker dying mid-collection hung the parent for
+        the full reply timeout (or forever when the worker died *inside*
+        a queue write, leaving a torn frame no timeout-get could see).
+        The pump thread plus liveness polling must surface the death in
+        bounded time, and close() must not hang on the dead worker
+        either."""
         trained = copy.deepcopy(fitted_ssrec)
         service = ShardedRecommender.from_trained(
             trained, n_shards=2, strategy="hash", use_index=False, backend="process"
         )
         pool = service._ensure_pool()
-        assert len(pool.collect_all()) == 2  # healthy path first
+        assert len(pool.map("metrics")) == 2  # healthy path first
         pool._workers[0].process.terminate()
         pool._workers[0].process.join(timeout=10)
         started = time.monotonic()
         with pytest.raises(ShardWorkerError, match="died"):
-            pool.collect_all()
+            pool.map("metrics")
         assert time.monotonic() - started < pool.reply_timeout / 2
         started = time.monotonic()
-        pool.close()
+        service.close()
         assert time.monotonic() - started < 30
-        service._pool = None  # closed manually; nothing left to collect
 
     def test_closed_pool_rejects_requests(self, fitted_ssrec):
         trained = copy.deepcopy(fitted_ssrec)
@@ -221,7 +280,7 @@ class TestPoolLifecycle:
         pool = service._ensure_pool()
         service.close()
         with pytest.raises(ShardWorkerError, match="closed"):
-            pool.call(0, "n_users")
+            pool.call(0, "ping")
 
     def test_pool_requires_shards(self):
         with pytest.raises(ValueError, match="at least one shard"):
@@ -240,19 +299,18 @@ class TestReplyDiscipline:
         )
         pool = service._ensure_pool()
         yield service, pool
-        pool.close()
-        service._pool = None  # closed manually; nothing left to collect
+        service.close()
 
     def test_death_between_fanout_and_reply_fails_fast(self, pool_service):
         service, pool = pool_service
         worker = pool._workers[1]
-        assert pool.call(1, "n_users") >= 0  # worker fully up
+        assert pool.call(1, "ping") == "pong"  # worker fully up
         worker.process.terminate()
         worker.process.join(timeout=10)
         # The request is already enqueued — exactly the fan-out/reply gap —
         # and no reply will ever come.  Liveness polling must surface the
         # death in a poll interval, not after the full reply timeout.
-        seq = pool._send(worker, "n_users", ())
+        seq = pool._send(worker, "ping", ())
         started = time.monotonic()
         with pytest.raises(ShardWorkerError, match="died"):
             pool._reply_from(worker, 1, seq)
@@ -260,17 +318,17 @@ class TestReplyDiscipline:
 
     def test_forged_stale_reply_is_discarded(self, pool_service):
         service, pool = pool_service
-        expected = pool.call(0, "n_users")
+        expected = pool.call(0, "metrics")
         worker = pool._workers[0]
         # A leftover reply from an abandoned exchange (its tag was already
         # consumed or abandoned) sits in the queue; the next call must
         # skip it rather than serve garbage.
         worker.replies.put((worker.seq, "ok", "stale-garbage"))
-        assert pool.call(0, "n_users") == expected
+        assert pool.call(0, "metrics") == expected
 
     def test_failed_map_leaves_later_exchanges_aligned(self, pool_service):
         service, pool = pool_service
-        counts = pool.map("n_users")
+        counts = pool.map("metrics")
         # The bad op fails on worker 0 and unwinds map() mid-collection,
         # abandoning worker 1's (error) reply in its queue.
         with pytest.raises(ShardWorkerError, match="unknown worker op"):
@@ -278,17 +336,16 @@ class TestReplyDiscipline:
         # Before sequence tags, worker 1's stale error would be consumed
         # as the reply of whatever came next, failing it spuriously and
         # shifting every later reply off by one.
-        assert pool.call(1, "n_users") == counts[1]
-        assert pool.map("n_users") == counts
+        assert pool.call(1, "metrics") == counts[1]
+        assert pool.map("metrics") == counts
 
 
 class TestWorkerOps:
     """The worker-side dispatcher, exercised in-process."""
 
-    def test_unknown_op_rejected(self, fitted_ssrec):
-        service = ShardedRecommender.from_trained(fitted_ssrec, n_shards=2)
+    def test_unknown_op_rejected(self):
         with pytest.raises(ShardWorkerError, match="unknown worker op"):
-            _apply_op(service.shards[0], "teleport", ())
+            _ShardReader(0).apply("teleport", ())
 
     def test_remote_error_carries_traceback(self, fitted_ssrec):
         trained = copy.deepcopy(fitted_ssrec)
@@ -299,23 +356,17 @@ class TestWorkerOps:
         with pytest.raises(ShardWorkerError, match="unknown worker op"):
             pool.call(0, "teleport")
         # The worker survives a failed request.
-        assert pool.call(0, "n_users") == service.shards[0].n_users
+        assert pool.call(0, "ping") == "pong"
         service.close()
-
-    def test_probed_users_empty_without_index(self, fitted_ssrec, ytube_stream):
-        service = ShardedRecommender.from_trained(
-            fitted_ssrec, n_shards=2, use_index=False
-        )
-        item = ytube_stream.items_in_partition(2)[0]
-        assert _apply_op(service.shards[0], "probed_users", (item,)) == set()
 
 
 class TestWorkerObservability:
     """Metrics and spans must cross the worker process boundary."""
 
     def test_obs_registries_merge_across_the_pool(self, process_service):
-        # Each worker ships its registry as a plain dump over the reply
-        # queue ("obs" op); the service merges them into one view.
+        # Each worker ships its serve-side registry as a plain dump over
+        # the reply queue ("obs" op); the service merges them with the
+        # publisher's and the parent shards' into one view.
         pool = process_service._ensure_pool()
         dumps = pool.map("obs")
         assert len(dumps) == 2
@@ -333,6 +384,10 @@ class TestWorkerObservability:
         by_hand = MetricsRegistry()
         for dump in dumps:
             by_hand.merge(MetricsRegistry.from_dict(dump))
+        by_hand.merge(pool.publisher.obs_registry())
+        for shard in process_service.shards:
+            by_hand.merge(shard.obs_registry())
+        by_hand.merge(process_service.executor().obs_registry())
         assert by_hand.to_dict() == merged.to_dict()
         # The module's serving traffic ran inside the workers.
         total_items = sum(
@@ -356,12 +411,12 @@ class TestWorkerObservability:
         names = trace.span_names()
         # Worker-side spans were shipped back over the reply queue and
         # grafted into the caller's trace, shard work included.
-        assert "worker.recommend_batch" in names
+        assert "worker.serve" in names
         assert "shard.scan" in names
         worker_shards = {
             entry["tags"]["shard"]
             for entry in trace.spans()
-            if entry["name"] == "worker.recommend_batch"
+            if entry["name"] == "worker.serve"
         }
         assert worker_shards == {"0", "1"}
         # One consistent trace id: worker spans carry the caller's.

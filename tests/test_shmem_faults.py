@@ -1,20 +1,30 @@
-"""Fault injection for the shared-memory IPC layer.
+"""Fault injection for shard worker processes and their published state.
 
-Every fault a segment-based fan-out can hit mid-flight — a worker killed
-inside a serve window, a segment unlinked under a live reader, a stale
-epoch manifest — must surface as a *typed* error
-(:class:`ShardWorkerError` / :class:`ShmemError`) in bounded time.
-Never a hang, never a silently wrong answer.
+Every fault a worker fan-out can hit mid-flight — a worker killed inside
+a serve window, a worker dying before its first reply, a segment
+unlinked under a live reader, a stale epoch manifest — must surface as a
+*typed* error (:class:`ShardWorkerError` / :class:`ShmemError`) in
+bounded time.  Never a hang, never a silently wrong answer.  And no
+worker may outlive its owner: a ``SIGKILL``-ed owner's workers exit
+within seconds.
 
 CI replays this battery under both ``spawn`` and ``forkserver`` start
 methods (the ``REPRO_SHMEM_START_METHOD`` environment variable, read by
-:class:`ShmemWorkerPool` at construction).
+:class:`ShardWorkerPool` at construction for both multi-process
+backends).
 """
 
 from __future__ import annotations
 
+import json
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,10 +32,11 @@ from repro.serve import ShardedRecommender
 from repro.serve.shmem import (
     SegmentManifest,
     ShmemError,
-    ShmemWorkerPool,
     live_segment_names,
 )
-from repro.serve.workers import ShardWorkerError
+from repro.serve.workers import ShardWorkerError, ShardWorkerPool
+
+MULTI_PROCESS_BACKENDS = ("process", "shmem")
 
 
 @pytest.fixture
@@ -67,23 +78,31 @@ class TestWorkerDeath:
         worker = pool._workers[1]
         manifest = pool.publisher.manifest(service.shards[1].shard_id)
         payload = pickle.dumps(("item", item, 6), protocol=pickle.HIGHEST_PROTOCOL)
-        seq = pool._send(worker, "serve", (manifest, payload))
+        seq = pool._send(worker, "serve", (manifest, None, payload))
         _kill(pool, 1)
         started = time.monotonic()
         with pytest.raises(ShardWorkerError, match="died"):
             pool._reply_from(worker, 1, seq)
         assert time.monotonic() - started < pool.reply_timeout / 2
 
-    def test_killed_worker_recovers_by_restart(self, service):
-        service, item, baseline = service
-        pool = service._pool
-        _kill(pool, 0)
-        with pytest.raises(ShardWorkerError, match="died"):
-            service.recommend(item, 6)
-        # Shmem workers are stateless: a plain respawn fully recovers —
-        # the fresh worker re-attaches the current epoch on first use.
-        pool.restart(0)
-        assert service.recommend(item, 6) == baseline
+    @pytest.mark.parametrize("backend", MULTI_PROCESS_BACKENDS)
+    def test_killed_worker_recovers_by_restart(
+        self, fitted_ssrec, ytube_stream, backend
+    ):
+        item = ytube_stream.items_in_partition(2)[0]
+        with ShardedRecommender.from_trained(
+            fitted_ssrec, n_shards=2, strategy="hash", use_index=False,
+            backend=backend,
+        ) as service:
+            baseline = service.recommend(item, 6)
+            _kill(service._pool, 0)
+            with pytest.raises(ShardWorkerError, match="died"):
+                service.recommend(item, 6)
+            # Workers are stateless: a plain respawn fully recovers — the
+            # fresh worker receives (or re-attaches) the current epoch on
+            # its first serve.
+            service.restart_workers()
+            assert service.recommend(item, 6) == baseline
 
 
 class TestSegmentUnlink:
@@ -130,7 +149,7 @@ class TestStaleEpoch:
             checksum=current.checksum,
         )
         payload = pickle.dumps(("item", item, 6), protocol=pickle.HIGHEST_PROTOCOL)
-        seq = pool._send(worker, "serve", (stale, payload))
+        seq = pool._send(worker, "serve", (stale, None, payload))
         with pytest.raises(ShmemError, match="stale manifest"):
             pool._reply_from(worker, 0, seq)
         # The worker survives the bad manifest and keeps serving the
@@ -148,7 +167,7 @@ class TestErrorKindRouting:
         failure (unknown op) is a ShardWorkerError, not a ShmemError."""
         service, _, _ = service
         pool = service._pool
-        with pytest.raises(ShardWorkerError, match="unknown shmem worker op") as info:
+        with pytest.raises(ShardWorkerError, match="unknown worker op") as info:
             pool.call(0, "teleport")
         assert not isinstance(info.value, ShmemError)
         # The worker survives a failed request.
@@ -160,7 +179,7 @@ class TestStartMethods:
         """The battery's CI matrix runs spawn and forkserver; prove the
         forkserver pool is wire-compatible in-tree too."""
         service, item, baseline = service
-        pool = ShmemWorkerPool(service.shards, start_method="forkserver")
+        pool = ShardWorkerPool(service.shards, start_method="forkserver")
         try:
             got = pool.serve_item(item, 6)
         finally:
@@ -172,7 +191,7 @@ class TestStartMethods:
     def test_fork_is_rejected(self, service):
         service, _, _ = service
         with pytest.raises(ValueError, match="start_method"):
-            ShmemWorkerPool(service.shards, start_method="fork")
+            ShardWorkerPool(service.shards, start_method="fork")
 
 
 class TestNoLeakOnFailure:
@@ -188,3 +207,112 @@ class TestNoLeakOnFailure:
         service.close()
         live = set(live_segment_names())
         assert not (set(names) & live)
+
+
+class _DiesOnLoad:
+    """A stand-in shard whose published copy kills the reading worker:
+    unpickling it calls ``os._exit`` — a worker dying before its first
+    reply, however it got there."""
+
+    shard_id = 0
+
+    def prepare_for_publish(self) -> None:
+        pass
+
+    def __reduce__(self):
+        return (os._exit, (3,))
+
+
+class TestBootstrapDeath:
+    @pytest.mark.parametrize("backend", MULTI_PROCESS_BACKENDS)
+    def test_worker_dying_before_first_reply_is_typed_error(
+        self, ytube_stream, backend
+    ):
+        item = ytube_stream.items_in_partition(2)[0]
+        started = time.monotonic()
+        pool = ShardWorkerPool([_DiesOnLoad()], backend=backend)
+        try:
+            with pytest.raises(ShardWorkerError, match="died"):
+                pool.serve_item(item, 6)
+            assert not pool.alive
+        finally:
+            pool.close()
+        # Spawn, the doomed first request and close: seconds, never the
+        # reply timeout.
+        assert time.monotonic() - started < pool.reply_timeout / 10
+
+
+_OWNER_SCRIPT = textwrap.dedent(
+    """
+    import json, sys, time
+    from repro.core.config import SsRecConfig
+    from repro.core.ssrec import SsRecRecommender
+    from repro.datasets.partitions import partition_interactions
+    from repro.datasets.ytube import YTubeConfig, generate_ytube
+    from repro.serve import ShardedRecommender
+
+    if __name__ == "__main__":
+        dataset = generate_ytube(YTubeConfig.small())
+        stream = partition_interactions(dataset)
+        rec = SsRecRecommender(config=SsRecConfig(), use_index=False, seed=1)
+        rec.fit(dataset, stream.training_interactions())
+        service = ShardedRecommender.from_trained(
+            rec, n_shards=2, strategy="hash", backend=sys.argv[1]
+        )
+        service.recommend_batch(stream.items_in_partition(2)[:4], 5)
+        pids = [worker.process.pid for worker in service._pool._workers]
+        print(json.dumps(pids), flush=True)
+        time.sleep(600)
+    """
+)
+
+
+def _gone(pid: int) -> bool:
+    """No such process, or only its zombie is left."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+    state = next(
+        (line.split()[1] for line in status.splitlines() if line.startswith("State:")),
+        "",
+    )
+    return state == "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+class TestOwnerDeath:
+    @pytest.mark.parametrize("backend", MULTI_PROCESS_BACKENDS)
+    def test_workers_exit_when_owner_is_killed(self, tmp_path, backend):
+        """SIGKILL the owner and leave it unreaped (a zombie): its
+        workers notice the closed pipe and exit within 5 s."""
+        script = tmp_path / "owner.py"
+        script.write_text(_OWNER_SCRIPT)
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        owner = subprocess.Popen(
+            [sys.executable, str(script), backend],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        pids: list[int] = []
+        try:
+            line = owner.stdout.readline()
+            assert line, f"owner exited early with {owner.wait()}"
+            pids = json.loads(line)
+            assert len(pids) == 2 and not any(_gone(pid) for pid in pids)
+            os.kill(owner.pid, signal.SIGKILL)  # no wait(): owner stays a zombie
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and not all(map(_gone, pids)):
+                time.sleep(0.1)
+            assert _gone(owner.pid)
+            assert [pid for pid in pids if not _gone(pid)] == []
+        finally:
+            owner.kill()
+            owner.wait()
+            owner.stdout.close()
+            for pid in pids:  # a failed run must not leave orphans behind
+                if not _gone(pid):
+                    os.kill(pid, signal.SIGKILL)
